@@ -394,8 +394,26 @@ def _unduloid_x(h: float, b: float, s: float, tol: float) -> float:
     return -adaptive_quadrature(f, s, 0.0, tol)
 
 
+def _unduloid_x_table(h: float, b: float, s: np.ndarray, tol: float) -> np.ndarray:
+    """x at every abscissa of ``s`` from one sweep: the distinct abscissae
+    and 0, sorted, with each gap integrated at tolerance tol * gap / span.
+    The shares add up to ``tol``, so every x(s) keeps the scalar bound."""
+    if not np.all(np.isfinite(s)):
+        raise InvalidParameters("s must be finite")
+    knots, where = np.unique(np.append(s, 0.0), return_inverse=True)
+    lo, hi = knots[:-1].tolist(), knots[1:].tolist()  # Python floats: faster Simpson loop
+    span = float(knots[-1] - knots[0])
+    f = lambda t: _unduloid_x_prime(h, b, t)
+    gaps = [adaptive_quadrature(f, a, c, tol * (c - a) / span) for a, c in zip(lo, hi)]
+    x = np.concatenate(([0.0], np.cumsum(gaps)))
+    x -= x[where[-1]]  # re-zero at s = 0
+    return x[where[:-1]].reshape(s.shape)
+
+
 @dataclass(frozen=True)
 class UnduloidProfile:
+    """Profile data at one arclength, or arrays of it over an array of them."""
+
     x: float
     x_prime: float
     y: float
@@ -403,28 +421,37 @@ class UnduloidProfile:
     y_second: float
 
 
-def unduloid_profile(H: float, B: float, s: float,
+def unduloid_profile(H: float, B: float, s,
                      tol: float = _DEFAULT_X_TOL) -> UnduloidProfile:
     """Profile curve data at arclength s: the axial coordinate by adaptive
-    quadrature, the radius and its derivatives in closed form."""
+    quadrature to ``tol``, the radius and its derivatives in closed form.
+
+    ``s`` is a number or an array; the closed forms are evaluated by numpy
+    for either.  For an array every field is an array of the same shape, and
+    the axial coordinate of all abscissae comes from one quadrature sweep
+    over the sorted abscissae instead of one integral from 0 per abscissa.
+    """
     if H == 0:
         raise InvalidParameters("H must be nonzero")
     if not 0 < B < 1:
         raise InvalidParameters("B must lie in (0,1)")
     if tol <= 0:
         raise InvalidParameters("tol must be positive")
-    q = _unduloid_q(H, B, s)
-    sn, cs = math.sin(2.0 * H * s), math.cos(2.0 * H * s)
+    s_arr = np.asarray(s, dtype=float)
+    sn, cs = np.sin(2.0 * H * s_arr), np.cos(2.0 * H * s_arr)
+    q = 1.0 + B * B + 2.0 * B * sn
+    root_q = np.sqrt(q)
     abs_h = abs(H)
-    y = math.sqrt(q) / (2.0 * abs_h)
-    y_p = (H / abs_h) * B * cs / math.sqrt(q)
-    y_pp = -2.0 * abs_h * B * (sn * q + B * cs * cs) / q**1.5
+    if s_arr.ndim:
+        x = _unduloid_x_table(H, B, s_arr, tol)
+    else:
+        x = _unduloid_x(H, B, float(s_arr), tol)
     return UnduloidProfile(
-        x=_unduloid_x(H, B, s, tol),
-        x_prime=_unduloid_x_prime(H, B, s),
-        y=y,
-        y_prime=y_p,
-        y_second=y_pp,
+        x=x,
+        x_prime=(1.0 + B * sn) / root_q,
+        y=root_q / (2.0 * abs_h),
+        y_prime=(H / abs_h) * B * cs / root_q,
+        y_second=-2.0 * abs_h * B * (sn * q + B * cs * cs) / q**1.5,
     )
 
 

@@ -9,8 +9,11 @@ calling the underlying library function with the same inputs; the CLI is a
 thin shell.
 
 Exit codes: 0 ok, 1 residual above tolerance, 2 parse/usage error,
-3 invalid model parameters, 4 I/O failure.  The environment variable
-``CMC_FD_STEP`` overrides the finite-difference step.
+3 invalid model parameters, 4 I/O failure, 5 any other package error
+(``CmcError``), such as a finite-difference stencil leaving the chart
+domain.  The environment variable ``CMC_FD_STEP`` overrides the
+finite-difference step; when set and non-empty it must be a finite positive
+number, otherwise the command exits 2.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bounds, catalog, geometry
-from .errors import InvalidParameters, NonElliptic, ParseError
+from .errors import CmcError, InvalidParameters, NonElliptic, ParseError
 from .spaceform import bilinear_form
 
 _CSV_COLUMNS = ["family", "n", "c", "params", "abs_H", "phi_norm", "alpha_H",
@@ -37,12 +40,25 @@ _EXIT_RESIDUAL = 1
 _EXIT_PARSE = 2
 _EXIT_PARAMS = 3
 _EXIT_IO = 4
+_EXIT_NUMERIC = 5
+
+
+class _UsageError(Exception):
+    """A command-line option or environment value is unusable (exit 2)."""
 
 
 def _fd_step() -> float | None:
     """Explicit step from CMC_FD_STEP, or None to use per-operation defaults."""
     raw = os.environ.get("CMC_FD_STEP")
-    return float(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        h = float(raw)
+    except ValueError:
+        h = math.nan
+    if not (math.isfinite(h) and h > 0.0):
+        raise _UsageError(f"CMC_FD_STEP must be a finite positive number, got {raw!r}")
+    return h
 
 
 def _residual(chart, u, h: float | None) -> float:
@@ -264,6 +280,8 @@ def _cmd_okumura(args) -> int:
 
 
 def _cmd_unduloid(args) -> int:
+    if args.samples < 1:
+        raise _UsageError("--samples must be at least 1")
     if args.solve_eps is not None:
         b = catalog.solve_B_for_inf_gauss(args.H, args.solve_eps)
     else:
@@ -271,13 +289,14 @@ def _cmd_unduloid(args) -> int:
     model = catalog.Unduloid(args.H, b)
     h, b = model.H, model.B
     period = math.pi / abs(h)
+    s_grid = np.linspace(0.0, period, args.samples, endpoint=False)
+    p = catalog.unduloid_profile(h, b, s_grid)
     rows = []
-    for s in np.linspace(0.0, period, args.samples, endpoint=False):
-        p = catalog.unduloid_profile(h, b, float(s))
-        k = catalog.unduloid_gauss_curvature(h, b, float(s))
+    for s, x, y, y_p, y_pp in zip(s_grid.tolist(), p.x.tolist(), p.y.tolist(),
+                                  p.y_prime.tolist(), p.y_second.tolist()):
+        k = catalog.unduloid_gauss_curvature(h, b, s)
         rows.append({
-            "s": float(s), "x": p.x, "y": p.y, "y_prime": p.y_prime,
-            "y_second": p.y_second, "K": k,
+            "s": s, "x": x, "y": y, "y_prime": y_p, "y_second": y_pp, "K": k,
             "phi_norm": math.sqrt(2.0 * (h * h - k)),
         })
     if args.csv:
@@ -389,17 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.grid < 4:
-        print("error: --grid must be at least 4", file=sys.stderr)
-        return _EXIT_PARSE
     try:
+        if args.command == "verify" and args.grid < 4:
+            raise _UsageError("--grid must be at least 4")
         return args.fn(args)
-    except ParseError as exc:
+    except (_UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE
     except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARAMS
+    except CmcError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_NUMERIC
 
 
 def entrypoint() -> None:

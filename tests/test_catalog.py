@@ -6,6 +6,7 @@ import pytest
 import cmcgeo.catalog as cat
 from cmcgeo.errors import InvalidParameters, OutOfRange, ParseError
 from cmcgeo.geometry import sample_points, shape_data_at
+from cmcgeo.numeric import adaptive_quadrature
 from cmcgeo.spaceform import validate_point
 
 
@@ -54,6 +55,60 @@ def test_unduloid_axial_coordinate_increases():
     xs = [cat.unduloid_profile(1.0, 0.9, float(s)).x
           for s in np.linspace(0.0, 2.0 * math.pi, 25)]
     assert all(b > a for a, b in zip(xs, xs[1:]))
+
+
+def _reference_x(h, b, s):
+    f = lambda t: cat._unduloid_x_prime(h, b, t)
+    if s >= 0.0:
+        return adaptive_quadrature(f, 0.0, s, 1e-13)
+    return -adaptive_quadrature(f, s, 0.0, 1e-13)
+
+
+@pytest.mark.parametrize("h", [1.0, -1.0])
+@pytest.mark.parametrize("b", [0.001, 0.5, 0.9, 0.98])
+def test_unduloid_table_x_within_tolerance_of_reference(h, b):
+    s = np.linspace(0.0, math.pi / abs(h), 64, endpoint=False)
+    x = cat.unduloid_profile(h, b, s).x
+    assert x[0] == 0.0
+    assert np.all(np.diff(x) > 0.0)
+    for si, xi in zip(s.tolist(), x.tolist()):
+        assert abs(xi - _reference_x(h, b, si)) <= 1e-10
+
+
+def test_unduloid_table_unsorted_duplicate_negative_abscissae():
+    s = np.array([2.5, -0.7, 0.3, 2.5, 0.0, -3.1, 0.3, 1.2])
+    x = cat.unduloid_profile(1.0, 0.9, s).x
+    assert x.shape == s.shape
+    for si, xi in zip(s.tolist(), x.tolist()):
+        assert abs(xi - cat.unduloid_profile(1.0, 0.9, si).x) <= 2e-10
+    assert x[0] == x[3] and x[2] == x[6] and x[4] == 0.0
+
+
+def test_unduloid_table_x_is_periodic_in_steps():
+    h, b = -1.0, 0.75
+    period = math.pi / abs(h)
+    s = np.linspace(0.0, period, 16, endpoint=False)
+    x = cat.unduloid_profile(h, b, np.concatenate([s, s + period, s + 2.0 * period, [period]])).x
+    x_period = x[-1]
+    for k in (1, 2):
+        shifted = x[16 * k:16 * (k + 1)] - x[16 * (k - 1):16 * k]
+        assert np.max(np.abs(shifted - x_period)) <= 1e-10
+
+
+def test_unduloid_table_closed_forms_match_scalar():
+    s = np.linspace(-1.0, 4.0, 41)
+    for h in (1.3, -0.8):
+        table = cat.unduloid_profile(h, 0.6, s)
+        for i, si in enumerate(s.tolist()):
+            p = cat.unduloid_profile(h, 0.6, si)
+            for field in ("x_prime", "y", "y_prime", "y_second"):
+                assert getattr(table, field)[i] == pytest.approx(
+                    getattr(p, field), rel=1e-14, abs=1e-300), (field, si)
+
+
+def test_unduloid_table_rejects_non_finite_abscissae():
+    with pytest.raises(InvalidParameters):
+        cat.unduloid_profile(1.0, 0.5, np.array([0.0, math.nan]))
 
 
 def test_unduloid_gauss_curvature_values():

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import cmcgeo
 from cmcgeo.cli import main
 
 CSV_COLUMNS = ["family", "n", "c", "params", "abs_H", "phi_norm", "alpha_H",
@@ -225,10 +226,40 @@ def test_fd_step_env_override(capsys, monkeypatch):
     assert json.loads(out)["residual_max"] <= 1e-5
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_unduloid_samples_below_one_exit_2(capsys, samples):
+    code, out, err = run(capsys, "unduloid", "--H", "1", "--B", "0.5",
+                         "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --samples must be at least 1\n"
+
+
+@pytest.mark.parametrize("step", ["abc", "nan", "inf", "-inf", "0", "-2e-4"])
+def test_bad_fd_step_env_exit_2(capsys, monkeypatch, step):
+    monkeypatch.setenv("CMC_FD_STEP", step)
+    code, out, err = run(capsys, "model", "euclidean-product:n=3,k=2,r=1.0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: CMC_FD_STEP ") and err.count("\n") == 1
+
+
+def test_other_package_error_exit_5(capsys, monkeypatch):
+    monkeypatch.setenv("CMC_FD_STEP", "0.5")
+    code, out, err = run(capsys, "verify", "euclidean-product:n=3,k=1,r=1.0",
+                         "--grid", "4")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: DomainExceeded: ") and err.count("\n") == 1
+
+
 def test_console_script_runs():
+    # The child imports the same cmcgeo as this test, installed or not.
+    src = os.path.dirname(os.path.dirname(cmcgeo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cmcgeo.cli", "model", "umbilical-sphere:n=3,c=0,r=2.0"],
-        capture_output=True, text=True, env={**os.environ})
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert rec["branch"] == "umbilical"

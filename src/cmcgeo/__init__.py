@@ -1,74 +1,22 @@
 """Numerical geometry of constant-mean-curvature hypersurfaces in the three
 simply connected space forms, with certification of the sharp scalar
-curvature and traceless-tensor bounds on explicit model hypersurfaces."""
+curvature and traceless-tensor bounds on explicit model hypersurfaces.
+
+The top level re-exports the library tour's names and the six model
+families; everything else is imported from its submodule."""
 
 from . import errors
-from .bounds import (
-    BoundContext,
-    ClassificationVerdict,
-    OkumuraReport,
-    bound_identity_check,
-    classify,
-    gap_polynomial,
-    gap_threshold,
-    okumura_check,
-    scalar_curvature_bound,
-)
+from .bounds import classify
 from .catalog import (
     CliffordTorus,
     EuclideanProduct,
     HyperbolicCylinder,
-    ModelSpec,
     SphereProduct,
     UmbilicalSphere,
     Unduloid,
     build_chart,
-    closed_form_invariants,
-    default_model_grid,
     parse_model,
-    r_from_H,
-    solve_B_for_inf_gauss,
-    unduloid_gauss_curvature,
-    unduloid_inf_gauss,
-    unduloid_profile,
-    unduloid_sup_phi,
 )
-from .geometry import (
-    DEFAULT_FD_STEP,
-    ImmersionChart,
-    Interval,
-    ScalarField,
-    ShapeData,
-    curvature_tensor,
-    grad_norm,
-    intrinsic_gauss_n2,
-    laplace_beltrami,
-    nabla_phi_norm2,
-    ricci,
-    ricci_from_curvature,
-    sample_points,
-    scalar_field,
-    scalar_from_curvature,
-    sectional_curvature,
-    shape_data_at,
-    simons_residual,
-)
-from .maxprinciple import (
-    DecayReport,
-    OYRecord,
-    OYWitness,
-    decay_admissible,
-    verify_oy_points,
-    weak_oy_search,
-)
-from .numeric import (
-    Jet2,
-    SymMatrix,
-    adaptive_quadrature,
-    jet_apply,
-    nullspace_unit,
-    sym_eigenvalues,
-)
-from .spaceform import AmbientSpace, bilinear_form, metric_weights, validate_point
+from .geometry import shape_data_at, simons_residual
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from .catalog import (
     ModelSpec,
     Unduloid,
     closed_form_invariants,
-    unduloid_gauss_curvature,
     unduloid_inf_gauss,
 )
 from .errors import NonElliptic, NotTraceFree
@@ -177,39 +176,17 @@ class ClassificationVerdict:
     gap_threshold: float
     inf_scalar: float
     scalar_bound: float
-    attained: bool
     inf_gauss: float | None = None
     gauss_bound_ok: bool | None = None
-
-
-_SUP_GRID = 4096
-
-
-def _unduloid_grid_sup_phi(model: Unduloid) -> float:
-    """Grid supremum of |Phi| over one profile period.
-
-    The sample set is a uniform grid plus the analytic minimizer of the
-    Gauss curvature, so the supremum is attained on the sample set itself.
-    """
-    h, b = model.H, model.B
-    period = math.pi / abs(h)
-    s = np.linspace(0.0, period, _SUP_GRID, endpoint=False)
-    sn = np.sin(2.0 * h * s)
-    q = 1.0 + b * b + 2.0 * b * sn
-    k = 4.0 * h * h * b * (b + sn) * (1.0 + b * sn) / (q * q)
-    k_min = float(k.min())
-    s_star = (3.0 if h > 0 else 1.0) * math.pi / (4.0 * abs(h))
-    k_min = min(k_min, unduloid_gauss_curvature(h, b, s_star))
-    return math.sqrt(2.0 * (h * h - k_min))
 
 
 def classify(model: ModelSpec, tol_class: float = 1e-7) -> ClassificationVerdict:
     """Decide which branch of the trichotomy a catalog model realizes.
 
-    Constant-|Phi| families are compared through their closed forms; the
-    unduloid supremum comes from a grid over one period.  Attainment is
-    decided structurally: |Phi| is either constant or periodic with a
-    compact fundamental domain, so its supremum is always attained here.
+    sup |Phi| is the closed-form ``phi_norm`` of every family: the constant
+    |Phi|, or for the unduloid its value where the Gauss curvature is least.
+    The supremum is always attained, since |Phi| is either constant or
+    periodic with a compact fundamental domain.
     """
     inv = closed_form_invariants(model)
     space = model.space
@@ -219,15 +196,11 @@ def classify(model: ModelSpec, tol_class: float = 1e-7) -> ClassificationVerdict
     alpha = gap_threshold(ctx)
     bound = scalar_curvature_bound(ctx)
 
-    if isinstance(model, Unduloid):
-        sup_phi = _unduloid_grid_sup_phi(model)
-    else:
-        sup_phi = inv.phi_norm
-    attained = True
+    sup_phi = inv.phi_norm
 
     if sup_phi <= tol_class:
         branch = "umbilical"
-    elif abs(sup_phi - alpha) <= tol_class and attained:
+    elif abs(sup_phi - alpha) <= tol_class:
         branch = "equality"
     else:
         branch = "strict"
@@ -252,7 +225,6 @@ def classify(model: ModelSpec, tol_class: float = 1e-7) -> ClassificationVerdict
         gap_threshold=alpha,
         inf_scalar=inf_scalar,
         scalar_bound=bound,
-        attained=attained,
         inf_gauss=inf_gauss,
         gauss_bound_ok=gauss_ok,
     )

@@ -13,7 +13,8 @@ Exit codes: 0 ok, 1 residual above tolerance, 2 parse/usage error,
 (``CmcError``), such as a finite-difference stencil leaving the chart
 domain.  The environment variable ``CMC_FD_STEP`` overrides the
 finite-difference step; when set and non-empty it must be a finite positive
-number, otherwise the command exits 2.
+number whose square does not underflow (the second-difference quotients
+divide by it), otherwise the command exits 2.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def _fd_step() -> float | None:
         h = math.nan
     if not (math.isfinite(h) and h > 0.0):
         raise _UsageError(f"CMC_FD_STEP must be a finite positive number, got {raw!r}")
+    if h * h < sys.float_info.min:
+        raise _UsageError(f"CMC_FD_STEP squared underflows, got {raw!r}")
     return h
 
 

@@ -35,6 +35,8 @@ from .errors import (
     NotSurface,
     SizeMismatch,
 )
+# perfbench/tracing.py patches jacobi_eigh and nullspace_unit by name, both
+# here and in numeric, so they stay imported under these names.
 from .numeric import Jet2, jacobi_eigh, nullspace_unit
 from .spaceform import AmbientSpace, metric_weights, validate_point
 
@@ -47,13 +49,11 @@ __all__ = [
     "ScalarField",
     "scalar_field",
     "shape_data_at",
-    "metric_partials",
     "curvature_tensor",
     "ricci",
     "ricci_from_curvature",
     "scalar_from_curvature",
     "sectional_curvature",
-    "orthonormal_frame",
     "laplace_beltrami",
     "grad_norm",
     "christoffel_symbols",
@@ -129,7 +129,11 @@ class ImmersionChart:
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Everything pointwise about the immersion at one chart point."""
+    """Everything pointwise about the immersion at one chart point.
+
+    ``metric_inv_sqrt`` is g^(-1/2); its columns form a g-orthonormal
+    tangent frame.
+    """
 
     point: np.ndarray
     space: AmbientSpace
@@ -258,18 +262,6 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True,
     )
 
 
-def metric_partials(sd: ShapeData) -> np.ndarray:
-    """Exact coordinate partials of the metric, D[k, i, j] = d_k g_ij.
-
-    Second-order chart jets make these exact: d_k <d_i psi, d_j psi> expands
-    into first and second partials of the immersion only.
-    """
-    w = metric_weights(sd.space)
-    d1, d2 = sd.first_partials, sd.second_partials
-    return (np.einsum("m,mki,mj->kij", w, d2, d1)
-            + np.einsum("m,mi,mkj->kij", w, d1, d2))
-
-
 # --------------------------------------------------------------------------
 # curvature tensor and contractions
 # --------------------------------------------------------------------------
@@ -311,14 +303,9 @@ def ricci(sd: ShapeData, x, y) -> float:
             - _ip(sd, px, py))
 
 
-def orthonormal_frame(sd: ShapeData) -> np.ndarray:
-    """Columns form a g-orthonormal tangent frame."""
-    return sd.metric_inv_sqrt
-
-
 def ricci_from_curvature(sd: ShapeData, x, y) -> float:
     """Ricci by frame contraction of the curvature tensor (cross-check path)."""
-    frame = orthonormal_frame(sd)
+    frame = sd.metric_inv_sqrt
     total = 0.0
     for i in range(sd.space.n):
         e = frame[:, i]
@@ -328,7 +315,7 @@ def ricci_from_curvature(sd: ShapeData, x, y) -> float:
 
 def scalar_from_curvature(sd: ShapeData) -> float:
     """Scalar curvature by double contraction of the curvature tensor."""
-    frame = orthonormal_frame(sd)
+    frame = sd.metric_inv_sqrt
     total = 0.0
     for j in range(sd.space.n):
         e = frame[:, j]

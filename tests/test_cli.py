@@ -235,7 +235,7 @@ def test_unduloid_samples_below_one_exit_2(capsys, samples):
     assert err == "error: --samples must be at least 1\n"
 
 
-@pytest.mark.parametrize("step", ["abc", "nan", "inf", "-inf", "0", "-2e-4"])
+@pytest.mark.parametrize("step", ["abc", "nan", "inf", "-inf", "0", "-2e-4", "1e-300"])
 def test_bad_fd_step_env_exit_2(capsys, monkeypatch, step):
     monkeypatch.setenv("CMC_FD_STEP", step)
     code, out, err = run(capsys, "model", "euclidean-product:n=3,k=2,r=1.0")

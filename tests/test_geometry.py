@@ -29,7 +29,6 @@ from cmcgeo.geometry import (
     intrinsic_gauss_n2,
     laplace_beltrami,
     nabla_phi_norm2,
-    orthonormal_frame,
     ricci,
     ricci_from_curvature,
     sample_points,
@@ -134,7 +133,7 @@ def test_ricci_contraction_matches_closed_form():
 def test_trace_of_ricci_is_scalar_curvature():
     chart = build_chart(HyperbolicCylinder(3, 2, 1.0))
     sd = shape_data_at(chart, [0.4, 1.2, 0.9])
-    frame = orthonormal_frame(sd)
+    frame = sd.metric_inv_sqrt
     total = sum(ricci(sd, frame[:, j], frame[:, j]) for j in range(3))
     assert total == pytest.approx(sd.scalar_curvature, abs=1e-9)
 

@@ -19,8 +19,10 @@ dependent signs therefore never enter comparisons against catalog values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -72,6 +74,7 @@ DEFAULT_FD_STEP = 1e-4
 _DET_FLOOR = 1e-12
 _MEAN_CONVEX_EPS = 1e-12
 _H_SPREAD_TOL = 1e-7
+_eye = functools.lru_cache(maxsize=None)(np.eye)
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ class ShapeData:
     """Everything pointwise about the immersion at one chart point.
 
     ``metric_inv_sqrt`` is g^(-1/2); its columns form a g-orthonormal
-    tangent frame.
+    tangent frame.  ``principal_curvatures`` is computed on first access.
     """
 
     point: np.ndarray
@@ -148,10 +151,14 @@ class ShapeData:
     traceless_shape: np.ndarray
     traceless_lowered: np.ndarray
     traceless_norm2: float
-    principal_curvatures: np.ndarray
     scalar_curvature: float
     first_partials: np.ndarray = field(repr=False)
     second_partials: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def principal_curvatures(self) -> np.ndarray:
+        r = self.metric_inv_sqrt
+        return jacobi_eigh(r @ self.second_fundamental @ r)[0]
 
 
 @dataclass(frozen=True)
@@ -222,11 +229,11 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True,
 
     a = np.einsum("m,mij->ij", w * normal, d2)
     shape_op = g_inv @ a
-    mean_curv = float(np.trace(shape_op)) / n
+    mean_curv = float(shape_op.trace()) / n
     if mean_convex and mean_curv < -_MEAN_CONVEX_EPS:
         normal, a, shape_op, mean_curv = -normal, -a, -shape_op, -mean_curv
 
-    traceless = shape_op - mean_curv * np.eye(n)
+    traceless = shape_op - mean_curv * _eye(n)
     traceless_low = a - mean_curv * g
     phi_norm2 = float(np.einsum("ij,ji->", traceless, traceless))
     if phi_norm2 < -1e-12:
@@ -234,10 +241,9 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True,
     phi_norm2 = max(phi_norm2, 0.0)
 
     evals, vecs = jacobi_eigh(g)
-    if np.any(evals <= 0.0):
+    if evals[0] <= 0.0:  # eigh sorts ascending
         raise DegenerateMetric(f"metric not positive definite at {u}")
-    g_inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(evals)) @ vecs.T
-    kappas, _ = jacobi_eigh(g_inv_sqrt @ a @ g_inv_sqrt)
+    g_inv_sqrt = (vecs * (1.0 / np.sqrt(evals))) @ vecs.T
 
     scalar = n * (n - 1) * (space.c + mean_curv**2) - phi_norm2
 
@@ -255,7 +261,6 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True,
         traceless_shape=traceless,
         traceless_lowered=traceless_low,
         traceless_norm2=phi_norm2,
-        principal_curvatures=kappas,
         scalar_curvature=scalar,
         first_partials=d1,
         second_partials=d2,
@@ -351,7 +356,7 @@ class _PointCache:
         self._data: dict[tuple, ShapeData] = {}
 
     def sd(self, u: np.ndarray) -> ShapeData:
-        key = tuple(float(v) for v in u)
+        key = tuple(u.tolist())
         hit = self._data.get(key)
         if hit is None:
             hit = shape_data_at(self.chart, u)
@@ -361,6 +366,13 @@ class _PointCache:
     def mean_curvature_spread(self) -> float:
         hs = [sd.mean_curvature for sd in self._data.values()]
         return max(hs) - min(hs)
+
+
+def _check_step(h: float) -> None:
+    """A finite-difference step must be finite and positive, and its square
+    must not underflow (the second differences divide by h*h)."""
+    if not (math.isfinite(h) and h > 0.0 and h * h >= sys.float_info.min):
+        raise ValueError(f"FD step {h!r} must be finite, positive and square to a normal float")
 
 
 def _require_ball(chart: ImmersionChart, u: np.ndarray, radius: float) -> None:
@@ -422,8 +434,7 @@ def laplace_beltrami(chart: ImmersionChart, field: ScalarField, u,
     every difference quotient acts on a jet-exact pointwise quantity; the
     truncation error is O(h^2).
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_step(h)
     u = np.asarray(u, dtype=float)
     _require_ball(chart, u, 2.0 * h)
     cache = _cache if _cache is not None else _PointCache(chart)
@@ -449,8 +460,7 @@ def grad_norm(chart: ImmersionChart, field: ScalarField, u,
               h: float = DEFAULT_FD_STEP, *,
               _cache: _PointCache | None = None) -> float:
     """Riemannian gradient norm |grad f| from central differences of f."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_step(h)
     u = np.asarray(u, dtype=float)
     _require_ball(chart, u, h)
     cache = _cache if _cache is not None else _PointCache(chart)
@@ -462,6 +472,7 @@ def grad_norm(chart: ImmersionChart, field: ScalarField, u,
 def christoffel_symbols(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP, *,
                         _cache: _PointCache | None = None) -> np.ndarray:
     """Gamma[k, i, j] from central differences of the jet-exact metric."""
+    _check_step(h)
     u = np.asarray(u, dtype=float)
     cache = _cache if _cache is not None else _PointCache(chart)
     dg = _fd_tensor_jac(lambda p: cache.sd(p).metric, u, h)
@@ -478,8 +489,7 @@ def nabla_phi_norm2(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP, *,
     three inverse metrics is mathematically nonnegative, so tiny negative
     rounding is clamped to zero.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_step(h)
     u = np.asarray(u, dtype=float)
     _require_ball(chart, u, h)
     cache = _cache if _cache is not None else _PointCache(chart)
@@ -530,6 +540,7 @@ def simons_residual(chart: ImmersionChart, u, h: float = DEFAULT_SIMONS_STEP, *,
     extrapolated; near an unduloid neck the fourth profile derivatives are
     large enough that a plain O(h^2) value would blow the 1e-5 budget.
     """
+    _check_step(h)
     u = np.asarray(u, dtype=float)
     cache = _PointCache(chart)
     res = _simons_residual_single(chart, u, h, cache)
@@ -565,8 +576,7 @@ def intrinsic_gauss_n2(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP) -> 
     """
     if chart.space.n != 2:
         raise NotSurface("intrinsic Gauss curvature needs a 2-dimensional chart")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_step(h)
     u = np.asarray(u, dtype=float)
     _require_ball(chart, u, h)
 

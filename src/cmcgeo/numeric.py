@@ -13,6 +13,7 @@ form-weighted rows, whose sign the determinant rule fixes by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,7 +34,17 @@ __all__ = [
 # second-order jets
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=None)
+def _basis(nvars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero gradient, zero Hessian and unit vectors (rows of the identity),
+    read-only because every constant and variable jet shares them."""
+    arrays = (np.zeros(nvars), np.zeros((nvars, nvars)), np.eye(nvars))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True, slots=True)
 class Jet2:
     """Truncated second-order Taylor data of a scalar quantity.
 
@@ -41,6 +52,7 @@ class Jet2:
     the chart variables and ``hess`` the (exactly symmetric) Hessian.
     Arithmetic combines jets by the exact product/chain rules; the Hessian
     stays bit-symmetric because every update is built from symmetric terms.
+    A plain number takes a scalar path equal to the one through ``constant``.
     """
 
     value: float
@@ -49,13 +61,12 @@ class Jet2:
 
     @staticmethod
     def constant(value: float, nvars: int) -> "Jet2":
-        return Jet2(float(value), np.zeros(nvars), np.zeros((nvars, nvars)))
+        return Jet2(float(value), *_basis(nvars)[:2])
 
     @staticmethod
     def variable(value: float, index: int, nvars: int) -> "Jet2":
-        g = np.zeros(nvars)
-        g[index] = 1.0
-        return Jet2(float(value), g, np.zeros((nvars, nvars)))
+        _, zero_hess, units = _basis(nvars)
+        return Jet2(float(value), units[index], zero_hess)
 
     @property
     def nvars(self) -> int:
@@ -63,14 +74,13 @@ class Jet2:
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(float(other), self.nvars)
+    def _scaled(self, k: float) -> "Jet2":
+        return Jet2(self.value * k, k * self.grad, k * self.hess)
 
     def __add__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value + float(other), self.grad, self.hess)
+        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
     __radd__ = __add__
 
@@ -78,35 +88,41 @@ class Jet2:
         return Jet2(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value - float(other), self.grad, self.hess)
+        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
 
     def __rsub__(self, other) -> "Jet2":
-        return self._coerce(other).__sub__(self)
+        return Jet2(float(other) - self.value, -self.grad, -self.hess)
 
     def __mul__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        cross = np.outer(self.grad, o.grad)
+        if not isinstance(other, Jet2):
+            return self._scaled(float(other))
+        cross = self.grad[:, None] * other.grad
         return Jet2(
-            self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + cross + cross.T,
+            self.value * other.value,
+            self.value * other.grad + other.value * self.grad,
+            self.value * other.hess + other.value * self.hess + cross + cross.T,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet2":
-        return self * self._coerce(other)._reciprocal()
+        if isinstance(other, Jet2):
+            return self * other._reciprocal()
+        if other == 0.0:
+            raise DomainError("division by a jet with zero value")
+        return self._scaled(1.0 / float(other))
 
     def __rtruediv__(self, other) -> "Jet2":
-        return self._coerce(other) * self._reciprocal()
+        return self._reciprocal()._scaled(float(other))
 
     # -- elementary functions -----------------------------------------------
 
     def _chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Jet of f(self) given f, f', f'' at self.value."""
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
+        g = self.grad
+        return Jet2(f0, f1 * g, f1 * self.hess + f2 * (g[:, None] * g))
 
     def _reciprocal(self) -> "Jet2":
         v = self.value
@@ -222,13 +238,18 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
 _RANK_RTOL = 1e-10
 
 
-def _form_weights(dim: int, form: str) -> np.ndarray:
-    w = np.ones(dim)
+@functools.lru_cache(maxsize=None)
+def _cofactor_plan(dim: int, form: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Form weights, the columns of each minor (row j: every column but j)
+    and the cofactor signs for dim - 1 rows."""
+    weights = np.ones(dim)
     if form == "lorentzian":
-        w[0] = -1.0
+        weights[0] = -1.0
     elif form != "euclidean":
         raise ValueError(f"unknown bilinear form {form!r}")
-    return w
+    k = np.arange(dim - 1)
+    keep = k + (k >= np.arange(dim)[:, None])
+    return weights, keep, (-1.0) ** (dim - 1 + np.arange(dim))
 
 
 def nullspace_unit(rows: Sequence[np.ndarray], form: str = "euclidean") -> np.ndarray:
@@ -252,7 +273,7 @@ def nullspace_unit(rows: Sequence[np.ndarray], form: str = "euclidean") -> np.nd
     if mat.ndim != 2:
         raise ValueError("rows must form a 2-d array")
     nrows, dim = mat.shape
-    weights = _form_weights(dim, form)
+    weights, keep, signs = _cofactor_plan(dim, form)
     if nrows != dim - 1:
         raise RankDeficient(f"{nrows} rows in dimension {dim}, expected {dim - 1}")
 
@@ -261,14 +282,12 @@ def nullspace_unit(rows: Sequence[np.ndarray], form: str = "euclidean") -> np.nd
     # residual's second differences amplify.
     peak = np.abs(mat).max(axis=1, keepdims=True)
     a = mat * weights / np.where(peak > 0.0, peak, 1.0)
-    k = np.arange(dim - 1)
-    keep = k + (k >= np.arange(dim)[:, None])     # row j: every column but j
     minors = np.linalg.det(a[:, keep].transpose(1, 0, 2))
-    v = minors * (-1.0) ** (nrows + np.arange(dim))
-    if np.linalg.norm(v) <= _RANK_RTOL * np.prod(np.linalg.norm(a, axis=1)):
+    v = minors * signs
+    if math.hypot(*v.tolist()) <= _RANK_RTOL * math.prod(math.hypot(*r) for r in a.tolist()):
         raise RankDeficient("rows do not span a codimension-one subspace")
 
-    norm2 = float(np.sum(weights * v * v))
+    norm2 = float((weights * v * v).sum())
     if norm2 <= 0.0:
         raise DomainError("orthogonal complement is not spacelike")
     return v / math.sqrt(norm2)

@@ -24,6 +24,7 @@ from cmcgeo.errors import (
 from cmcgeo.geometry import (
     ImmersionChart,
     Interval,
+    christoffel_symbols,
     curvature_tensor,
     grad_norm,
     intrinsic_gauss_n2,
@@ -79,6 +80,17 @@ def test_hyperbolic_cylinder_point():
     assert np.allclose(sd.principal_curvatures, expected, atol=1e-11)
     assert sd.traceless_norm2 == pytest.approx(1.0 / 3.0, abs=1e-11)
     assert sd.scalar_curvature == pytest.approx(2.0, abs=1e-10)
+
+
+def test_principal_curvatures_are_deferred_and_cached():
+    for model, u in ((Unduloid(1.0, 0.5), [0.7, 0.3]),
+                     (HyperbolicCylinder(3, 2, 1.0), [0.4, 1.2, 0.9])):
+        sd = shape_data_at(build_chart(model), u)
+        assert "principal_curvatures" not in vars(sd)
+        r = sd.metric_inv_sqrt
+        kappas = sd.principal_curvatures
+        assert np.array_equal(kappas, np.linalg.eigh(r @ sd.second_fundamental @ r)[0])
+        assert sd.principal_curvatures is kappas
 
 
 def test_normal_is_form_orthogonal_and_unit():
@@ -235,6 +247,25 @@ def test_simons_rejects_nonconstant_mean_curvature():
                                 (Interval(-1, 1), Interval(-1, 1)), ev)
     with pytest.raises(NonConstantMeanCurvature):
         simons_residual(paraboloid, [0.3, 0.2])
+
+
+_FD_FUNCTIONS = {
+    "laplace_beltrami": lambda chart, u, h: laplace_beltrami(chart, PHI2, u, h),
+    "grad_norm": lambda chart, u, h: grad_norm(chart, PHI2, u, h),
+    "christoffel_symbols": christoffel_symbols,
+    "nabla_phi_norm2": nabla_phi_norm2,
+    "simons_residual": simons_residual,
+    "intrinsic_gauss_n2": intrinsic_gauss_n2,
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf, 1e-300])
+@pytest.mark.parametrize("name", list(_FD_FUNCTIONS))
+def test_fd_functions_reject_bad_steps(name, h):
+    # 1e-300 is positive, but h*h underflows to zero.
+    chart = build_chart(EuclideanProduct(2, 1, 0.7))
+    with pytest.raises(ValueError):
+        _FD_FUNCTIONS[name](chart, [0.3, 1.1], h)
 
 
 # ---------------------------------------------------------------------------

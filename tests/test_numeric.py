@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcgeo.errors import DomainError, NonConvergence, RankDeficient
 from cmcgeo.numeric import Jet2, adaptive_quadrature, jacobi_eigh, nullspace_unit
@@ -52,6 +54,36 @@ def test_jet_hessian_bitwise_symmetric():
         z = Jet2.variable(rng.uniform(0.2, 2.0), 2, 3)
         w = ((x * y + z.sin()) / (z + 2.0)).sqrt() * y.cosh() - x.pow_int(3)
         assert np.array_equal(w.hess, w.hess.T)
+
+
+_NONZERO = st.floats(0.01, 1e3) | st.floats(-1e3, -0.01)
+
+
+@st.composite
+def _jets(draw):
+    n = draw(st.integers(1, 4))
+    entries = draw(st.lists(_NONZERO, min_size=1 + n + n * n, max_size=1 + n + n * n))
+    h = np.array(entries[1 + n:]).reshape(n, n)
+    return Jet2(entries[0], np.array(entries[1:1 + n]), h + h.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jets(), _NONZERO)
+def test_jet_scalar_paths_match_constant_jets(j, k):
+    c = Jet2.constant(k, j.nvars)
+    pairs = [(j * k, j * c), (k * j, c * j), (j + k, j + c), (k + j, c + j),
+             (j - k, j - c), (k - j, c - j), (j / k, j / c), (k / j, c / j)]
+    for got, want in pairs:
+        assert got.value == want.value
+        assert np.array_equal(got.grad, want.grad)
+        assert np.array_equal(got.hess, want.hess)
+
+
+def test_jet_constant_and_variable_arrays_are_read_only():
+    with pytest.raises(ValueError):
+        Jet2.variable(0.5, 0, 3).grad[1] = 2.0
+    with pytest.raises(ValueError):
+        Jet2.constant(1.0, 2).hess[0, 0] = 1.0
 
 
 # Independent oracle for the chain rule: polynomials as coefficient maps,
@@ -292,3 +324,11 @@ def test_nullspace_orthogonality_property():
             assert abs(np.dot(weights * v, v) - 1.0) <= 1e-12
             # sign rule: det([rows; v]) > 0, time column negated if Lorentzian
             assert np.linalg.det(np.vstack([rows, v]) * weights) > 0.0
+
+
+def test_nullspace_rejects_unknown_form_after_plan_is_cached():
+    rows = [np.array([1.0, 0, 0]), np.array([0.0, 1, 0])]
+    nullspace_unit(rows, "euclidean")
+    nullspace_unit(rows, "lorentzian")
+    with pytest.raises(ValueError):
+        nullspace_unit(rows, "bogus")

@@ -10,6 +10,7 @@ test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -48,6 +49,7 @@ __all__ = [
 
 _POLAR_MARGIN = 1e-3
 _DEFAULT_X_TOL = 1e-10
+_KNOTS = 64  # knots per period in the unduloid axial-coordinate table
 
 
 # --------------------------------------------------------------------------
@@ -347,15 +349,11 @@ def _umbilical_sphere_chart(m: UmbilicalSphere) -> ImmersionChart:
 def _unduloid_chart(m: Unduloid) -> ImmersionChart:
     h, b = m.H, m.B
     abs_h = abs(h)
-    x_cache: dict[float, float] = {}
+    knot_tables: dict[int, list[float]] = {}  # filled on first evaluation
 
     def ev(u: np.ndarray) -> list[Jet2]:
         s, theta = float(u[0]), float(u[1])
-        x = x_cache.get(s)
-        if x is None:
-            x = _unduloid_x(h, b, s, _DEFAULT_X_TOL)
-            x_cache[s] = x
-        xj = Jet2(x,
+        xj = Jet2(_unduloid_x(h, b, s, _DEFAULT_X_TOL, knot_tables),
                   np.array([_unduloid_x_prime(h, b, s), 0.0]),
                   np.array([[_unduloid_x_second(h, b, s), 0.0], [0.0, 0.0]]))
         sj = Jet2.variable(s, 0, 2)
@@ -387,27 +385,62 @@ def _unduloid_x_second(h: float, b: float, s: float) -> float:
     return 2.0 * h * b * cs * (b + sn) * b / q**1.5
 
 
-def _unduloid_x(h: float, b: float, s: float, tol: float) -> float:
+def _unduloid_x(h: float, b: float, s: float, tol: float,
+                tables: dict[int, list[float]]) -> float:
+    """x(s) to ``tol`` from one period's knot table and one short integral.
+
+    With T = pi/|H| and k = floor(s/T), x(s) = k x(T) + x(t_j) + the
+    integral of x' from t_j to r = s - kT, where t_j is the knot nearest r.
+    Half of ``tol`` goes to that integral, over at most T/(2 _KNOTS); the
+    other half to the |k| + 1 table values the sum uses.  ``tables`` maps a
+    reach R (a power of two >= |k|) to x at the knots to tol / (2(R + 1))
+    and is filled on first use.
+    """
+    if not math.isfinite(s):
+        raise InvalidParameters("s must be finite")
+    period = math.pi / abs(h)
+    step = period / _KNOTS  # exact (_KNOTS is a power of two): the last knot is T
+    k = math.floor(s / period)
+    reach = 1 << (max(abs(k), 1) - 1).bit_length()
     f = lambda t: _unduloid_x_prime(h, b, t)
-    if s >= 0.0:
-        return adaptive_quadrature(f, 0.0, s, tol)
-    return -adaptive_quadrature(f, s, 0.0, tol)
+    knot_x = tables.get(reach)
+    if knot_x is None:  # plain floats: numpy's sort would add ~0.5 MB of code pages
+        gap_tol = tol / (2.0 * (reach + 1) * _KNOTS)
+        knot_x = tables[reach] = list(itertools.accumulate(
+            (adaptive_quadrature(f, i * step, (i + 1) * step, gap_tol) for i in range(_KNOTS)),
+            initial=0.0))
+    r = s - k * period
+    j = min(max(round(r / step), 0), _KNOTS)
+    a = j * step
+    if r >= a:
+        gap = adaptive_quadrature(f, a, r, 0.5 * tol)
+    else:
+        gap = -adaptive_quadrature(f, r, a, 0.5 * tol)
+    return k * knot_x[-1] + knot_x[j] + gap
 
 
 def _unduloid_x_table(h: float, b: float, s: np.ndarray, tol: float) -> np.ndarray:
     """x at every abscissa of ``s`` from one sweep: the distinct abscissae
-    and 0, sorted, with each gap integrated at tolerance tol * gap / span.
+    and 0, sorted, every gap longer than the knot spacing T/_KNOTS split at
+    the knots inside it, each gap integrated at tolerance tol * gap / span.
     The shares add up to ``tol``, so every x(s) keeps the scalar bound."""
     if not np.all(np.isfinite(s)):
         raise InvalidParameters("s must be finite")
-    knots, where = np.unique(np.append(s, 0.0), return_inverse=True)
+    points = np.append(s, 0.0)
+    knots, where = np.unique(points, return_inverse=True)
+    step = math.pi / abs(h) / _KNOTS
+    long = np.flatnonzero(np.diff(knots) > step).tolist()
+    if long:  # a long gap would let Simpson's first samples alias the period
+        points = np.append(points, [j * step for i in long for j in range(
+            math.floor(knots[i] / step) + 1, math.ceil(knots[i + 1] / step))])
+        knots, where = np.unique(points, return_inverse=True)
     lo, hi = knots[:-1].tolist(), knots[1:].tolist()  # Python floats: faster Simpson loop
     span = float(knots[-1] - knots[0])
     f = lambda t: _unduloid_x_prime(h, b, t)
     gaps = [adaptive_quadrature(f, a, c, tol * (c - a) / span) for a, c in zip(lo, hi)]
     x = np.concatenate(([0.0], np.cumsum(gaps)))
-    x -= x[where[-1]]  # re-zero at s = 0
-    return x[where[:-1]].reshape(s.shape)
+    x -= x[where[s.size]]  # re-zero at s = 0
+    return x[where[:s.size]].reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -427,9 +460,11 @@ def unduloid_profile(H: float, B: float, s,
     quadrature to ``tol``, the radius and its derivatives in closed form.
 
     ``s`` is a number or an array; the closed forms are evaluated by numpy
-    for either.  For an array every field is an array of the same shape, and
-    the axial coordinate of all abscissae comes from one quadrature sweep
-    over the sorted abscissae instead of one integral from 0 per abscissa.
+    for either.  For a number the axial coordinate comes from one period's
+    knot table and one short integral, as on the chart.  For an array every
+    field is an array of the same shape, and the axial coordinate of all
+    abscissae comes from one quadrature sweep over the sorted abscissae,
+    split at the knots where they lie further apart.
     """
     if H == 0:
         raise InvalidParameters("H must be nonzero")
@@ -438,14 +473,14 @@ def unduloid_profile(H: float, B: float, s,
     if tol <= 0:
         raise InvalidParameters("tol must be positive")
     s_arr = np.asarray(s, dtype=float)
+    if s_arr.ndim:  # first: both reject a non-finite s
+        x = _unduloid_x_table(H, B, s_arr, tol)
+    else:
+        x = _unduloid_x(H, B, float(s_arr), tol, {})
     sn, cs = np.sin(2.0 * H * s_arr), np.cos(2.0 * H * s_arr)
     q = 1.0 + B * B + 2.0 * B * sn
     root_q = np.sqrt(q)
     abs_h = abs(H)
-    if s_arr.ndim:
-        x = _unduloid_x_table(H, B, s_arr, tol)
-    else:
-        x = _unduloid_x(H, B, float(s_arr), tol)
     return UnduloidProfile(
         x=x,
         x_prime=(1.0 + B * sn) / root_q,

@@ -474,6 +474,7 @@ def christoffel_symbols(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP, *,
     """Gamma[k, i, j] from central differences of the jet-exact metric."""
     _check_step(h)
     u = np.asarray(u, dtype=float)
+    _require_ball(chart, u, h)
     cache = _cache if _cache is not None else _PointCache(chart)
     dg = _fd_tensor_jac(lambda p: cache.sd(p).metric, u, h)
     combo = dg + dg.transpose(1, 0, 2) - dg.transpose(2, 1, 0)

@@ -6,7 +6,6 @@ import pytest
 import cmcgeo.catalog as cat
 from cmcgeo.errors import InvalidParameters, OutOfRange, ParseError
 from cmcgeo.geometry import sample_points, shape_data_at
-from cmcgeo.numeric import adaptive_quadrature
 from cmcgeo.spaceform import validate_point
 
 
@@ -57,11 +56,60 @@ def test_unduloid_axial_coordinate_increases():
     assert all(b > a for a, b in zip(xs, xs[1:]))
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
 def _reference_x(h, b, s):
-    f = lambda t: cat._unduloid_x_prime(h, b, t)
-    if s >= 0.0:
-        return adaptive_quadrature(f, 0.0, s, 1e-13)
-    return -adaptive_quadrature(f, s, 0.0, 1e-13)
+    """x(s) by composite 20-point Gauss-Legendre on panels of at most T/256,
+    independent of the adaptive Simpson code under test.  The complex
+    singularities of x' lie |log B| / (2|H|) off the real axis, so even at
+    B=0.98 each panel converges far below 1e-13."""
+    panels = max(1, math.ceil(abs(s) * abs(h) * 256 / math.pi))
+    edges = np.linspace(0.0, s, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    sn = np.sin(2.0 * h * (mid[:, None] + half[:, None] * _GL_NODES))
+    x_prime = (1.0 + b * sn) / np.sqrt(1.0 + b * b + 2.0 * b * sn)
+    return float(np.sum(half[:, None] * _GL_WEIGHTS * x_prime))
+
+
+@pytest.mark.parametrize("h", [1.0, -1.0, 1.3, -0.8, 2.0])
+@pytest.mark.parametrize("b", [0.001, 0.5, 0.9, 0.98])
+def test_unduloid_x_within_tolerance_of_reference_over_five_periods(h, b):
+    period = math.pi / abs(h)
+    chart = cat.build_chart(cat.Unduloid(h, b))
+    for s in np.linspace(-2.0 * period, 3.0 * period, 41).tolist():
+        ref = _reference_x(h, b, s)
+        assert abs(chart.position(np.array([s, 0.4]))[0] - ref) <= 1e-10, s
+        assert abs(cat.unduloid_profile(h, b, s).x - ref) <= 1e-10, s
+
+
+@pytest.mark.parametrize("h, b, s", [(1.0, 0.98, 2.0 * math.pi),
+                                     (-0.8, 0.98, 2.5 * math.pi),
+                                     (-0.8, 0.98, -2.5 * math.pi)])
+def test_unduloid_x_over_two_whole_periods(h, b, s):
+    # One Simpson panel over two whole periods samples x' at the same phase
+    # five times and misses these integrals by about 0.3.
+    ref = _reference_x(h, b, s)
+    assert abs(cat.unduloid_profile(h, b, s).x - ref) <= 1e-10
+    assert abs(cat.unduloid_profile(h, b, np.array([s])).x[0] - ref) <= 1e-10
+
+
+def test_unduloid_scalar_x_steps_by_one_period():
+    for h, b in ((1.0, 0.5), (-1.3, 0.9), (2.0, 0.98)):
+        period = math.pi / abs(h)
+        x_period = cat.unduloid_profile(h, b, period).x
+        for s in (-2.2, -0.3, 0.0, 0.7, 1.9, 4.4):
+            step = cat.unduloid_profile(h, b, s + period).x - cat.unduloid_profile(h, b, s).x
+            assert abs(step - x_period) <= 1e-12, (h, b, s)
+
+
+def test_unduloid_knot_tables_grow_with_periods_not_abscissae():
+    tables = {}
+    period = math.pi
+    for s in np.linspace(-3.5 * period, 3.5 * period, 301).tolist():
+        cat._unduloid_x(1.0, 0.9, s, 1e-10, tables)
+    assert sorted(tables) == [1, 2, 4]
+    assert all(len(knot_x) == cat._KNOTS + 1 for knot_x in tables.values())
 
 
 @pytest.mark.parametrize("h", [1.0, -1.0])
@@ -109,6 +157,9 @@ def test_unduloid_table_closed_forms_match_scalar():
 def test_unduloid_table_rejects_non_finite_abscissae():
     with pytest.raises(InvalidParameters):
         cat.unduloid_profile(1.0, 0.5, np.array([0.0, math.nan]))
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameters):
+            cat.unduloid_profile(1.0, 0.5, s)
 
 
 def test_unduloid_gauss_curvature_values():

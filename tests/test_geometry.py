@@ -340,6 +340,15 @@ def test_domain_exceeded_near_boundary():
         laplace_beltrami(chart, PHI2, [1.0 - 1e-5, 0.0])
 
 
+def test_christoffel_symbols_stay_inside_a_bounded_domain():
+    # The flat axis of EuclideanProduct(3, 2, 1.0) is [-2, 2]: the stencil
+    # at 1.99995 + 1e-4 would leave it.
+    chart = build_chart(EuclideanProduct(3, 2, 1.0))
+    with pytest.raises(DomainExceeded):
+        christoffel_symbols(chart, [1.99995, 1.1, 0.7], 1e-4)
+    assert np.all(np.isfinite(christoffel_symbols(chart, [1.9998, 1.1, 0.7], 1e-4)))
+
+
 def test_off_surface_point_rejected():
     def ev(u):
         x = Jet2.variable(u[0], 0, 2)

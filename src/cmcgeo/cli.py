@@ -55,19 +55,14 @@ def _fd_step() -> float | None:
         return None
     try:
         h = float(raw)
-    except ValueError:
-        h = math.nan
-    if not (math.isfinite(h) and h > 0.0):
-        raise _UsageError(f"CMC_FD_STEP must be a finite positive number, got {raw!r}")
-    if h * h < sys.float_info.min:
-        raise _UsageError(f"CMC_FD_STEP squared underflows, got {raw!r}")
+        geometry._check_step(h)
+    except ValueError as exc:
+        raise _UsageError(f"CMC_FD_STEP {raw!r}: {exc}") from None
     return h
 
 
 def _residual(chart, u, h: float | None) -> float:
-    if h is None:
-        return geometry.simons_residual(chart, u)
-    return geometry.simons_residual(chart, u, h)
+    return geometry.simons_residual(chart, u, geometry.DEFAULT_SIMONS_STEP if h is None else h)
 
 
 # --------------------------------------------------------------------------
@@ -221,8 +216,7 @@ def _cmd_verify(args) -> int:
                        float(np.max(np.abs(kap + closed_kap[::-1]))))
         bump("kappas_vs_closed_form", mismatch)
         if n == 2:
-            kint = (geometry.intrinsic_gauss_n2(chart, u) if h is None
-                    else geometry.intrinsic_gauss_n2(chart, u, h))
+            kint = geometry.intrinsic_gauss_n2(chart, u, geometry.DEFAULT_FD_STEP if h is None else h)
             bump("intrinsic_gauss_consistency",
                  kint - ((c + sd.mean_curvature**2) - sd.traceless_norm2 / 2.0))
             checks["gauss_upper_bound_violation"] = max(

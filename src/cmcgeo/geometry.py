@@ -348,26 +348,6 @@ def sectional_curvature(sd: ShapeData, x, y) -> float:
 # finite-difference layer
 # --------------------------------------------------------------------------
 
-class _PointCache:
-    """Memoizes ShapeData on the stencil points of one FD computation."""
-
-    def __init__(self, chart: ImmersionChart):
-        self.chart = chart
-        self._data: dict[tuple, ShapeData] = {}
-
-    def sd(self, u: np.ndarray) -> ShapeData:
-        key = tuple(u.tolist())
-        hit = self._data.get(key)
-        if hit is None:
-            hit = shape_data_at(self.chart, u)
-            self._data[key] = hit
-        return hit
-
-    def mean_curvature_spread(self) -> float:
-        hs = [sd.mean_curvature for sd in self._data.values()]
-        return max(hs) - min(hs)
-
-
 def _check_step(h: float) -> None:
     """A finite-difference step must be finite and positive, and its square
     must not underflow (the second differences divide by h*h)."""
@@ -391,65 +371,65 @@ def _shift(u: np.ndarray, moves: Sequence[tuple[int, float]]) -> np.ndarray:
     return v
 
 
-def _fd_grad(fn: Callable[[np.ndarray], float], u: np.ndarray, h: float) -> np.ndarray:
-    n = u.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (fn(_shift(u, [(i, h)])) - fn(_shift(u, [(i, -h)]))) / (2.0 * h)
-    return out
+class _Stencil:
+    """ShapeData at the points of one central-difference stencil of step h:
+    the centre u, u + h e_i and u - h e_i for each axis i, then, when
+    ``mixed``, the corners u +- h e_i +- h e_j for each i < j.
 
+    The step and the domain ball (radius 2h when ``mixed``, else h) are
+    checked before any point is evaluated; each point is then evaluated
+    once, in that order, except the centre when ``center`` is given.
+    """
 
-def _fd_hess(fn: Callable[[np.ndarray], float], u: np.ndarray, h: float) -> np.ndarray:
-    n = u.shape[0]
-    out = np.empty((n, n))
-    f0 = fn(u)
-    for i in range(n):
-        fp = fn(_shift(u, [(i, h)]))
-        fm = fn(_shift(u, [(i, -h)]))
-        out[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fpp = fn(_shift(u, [(i, h), (j, h)]))
-            fpm = fn(_shift(u, [(i, h), (j, -h)]))
-            fmp = fn(_shift(u, [(i, -h), (j, h)]))
-            fmm = fn(_shift(u, [(i, -h), (j, -h)]))
+    def __init__(self, chart: ImmersionChart, u, h: float, *, mixed: bool = False,
+                 center: ShapeData | None = None):
+        _check_step(h)
+        u = np.asarray(u, dtype=float)
+        _require_ball(chart, u, 2.0 * h if mixed else h)
+        n = u.shape[0]
+        self.pairs = list(itertools.combinations(range(n), 2)) if mixed else []
+        moves = [[]] if center is None else []  # the empty move is the centre
+        moves += [[(i, d)] for i in range(n) for d in (h, -h)]
+        moves += [[(i, di), (j, dj)] for i, j in self.pairs
+                  for di, dj in ((h, h), (h, -h), (-h, h), (-h, -h))]
+        evaluated = [shape_data_at(chart, _shift(u, m)) for m in moves]
+        self.u, self.h, self.n = u, h, n
+        self.points = evaluated if center is None else [center, *evaluated]
+        self.center = self.points[0]
+
+    def d1(self, get: Callable[[ShapeData], float | np.ndarray]) -> np.ndarray:
+        """Central first differences of ``get``, stacked as [d_0, ..., d_{n-1}]."""
+        p, h = self.points, self.h
+        return np.array([(get(p[2 * i + 1]) - get(p[2 * i + 2])) / (2.0 * h)
+                         for i in range(self.n)])
+
+    def d2(self, get: Callable[[ShapeData], float]) -> np.ndarray:
+        """Hessian of a scalar ``get``; the stencil must be ``mixed``."""
+        p, h, n = self.points, self.h, self.n
+        out = np.empty((n, n))
+        f0 = get(p[0])
+        for i in range(n):
+            out[i, i] = (get(p[2 * i + 1]) - 2.0 * f0 + get(p[2 * i + 2])) / (h * h)
+        for k, (i, j) in zip(range(2 * n + 1, len(p), 4), self.pairs):
+            fpp, fpm, fmp, fmm = (get(sd) for sd in p[k:k + 4])
             out[i, j] = out[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return out
-
-
-def _fd_tensor_jac(fn: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
-                   h: float) -> np.ndarray:
-    cols = []
-    for k in range(u.shape[0]):
-        cols.append((fn(_shift(u, [(k, h)])) - fn(_shift(u, [(k, -h)]))) / (2.0 * h))
-    return np.array(cols)
+        return out
 
 
 def laplace_beltrami(chart: ImmersionChart, field: ScalarField, u,
                      h: float = DEFAULT_FD_STEP, *,
-                     _cache: _PointCache | None = None) -> float:
+                     _stencil: _Stencil | None = None) -> float:
     """Laplace-Beltrami of a pointwise field by central differences.
 
     Divergence form: sqrt(g)^-1 d_i(sqrt(g) g^{ij} d_j f), expanded so that
     every difference quotient acts on a jet-exact pointwise quantity; the
     truncation error is O(h^2).
     """
-    _check_step(h)
-    u = np.asarray(u, dtype=float)
-    _require_ball(chart, u, 2.0 * h)
-    cache = _cache if _cache is not None else _PointCache(chart)
-
-    def f(p: np.ndarray) -> float:
-        return field(cache.sd(p))
-
-    def weighted_inv(p: np.ndarray) -> np.ndarray:
-        sd = cache.sd(p)
-        return sd.sqrt_det_metric * sd.metric_inv
-
-    sd0 = cache.sd(u)
-    grad_f = _fd_grad(f, u, h)
-    hess_f = _fd_hess(f, u, h)
-    div_t = _fd_tensor_jac(weighted_inv, u, h)       # (k, i, j) = d_k T^{ij}
+    st = _stencil if _stencil is not None else _Stencil(chart, u, h, mixed=True)
+    sd0 = st.center
+    grad_f = st.d1(field)
+    hess_f = st.d2(field)
+    div_t = st.d1(lambda sd: sd.sqrt_det_metric * sd.metric_inv)  # (k, i, j) = d_k T^{ij}
     t0 = sd0.sqrt_det_metric * sd0.metric_inv
     return float(
         (np.einsum("iij,j->", div_t, grad_f) + np.einsum("ij,ij->", t0, hess_f))
@@ -458,31 +438,25 @@ def laplace_beltrami(chart: ImmersionChart, field: ScalarField, u,
 
 def grad_norm(chart: ImmersionChart, field: ScalarField, u,
               h: float = DEFAULT_FD_STEP, *,
-              _cache: _PointCache | None = None) -> float:
+              _stencil: _Stencil | None = None) -> float:
     """Riemannian gradient norm |grad f| from central differences of f."""
-    _check_step(h)
-    u = np.asarray(u, dtype=float)
-    _require_ball(chart, u, h)
-    cache = _cache if _cache is not None else _PointCache(chart)
-    grad_f = _fd_grad(lambda p: field(cache.sd(p)), u, h)
-    val = float(grad_f @ cache.sd(u).metric_inv @ grad_f)
+    st = _stencil if _stencil is not None else _Stencil(chart, u, h)
+    grad_f = st.d1(field)
+    val = float(grad_f @ st.center.metric_inv @ grad_f)
     return math.sqrt(max(val, 0.0))
 
 
 def christoffel_symbols(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP, *,
-                        _cache: _PointCache | None = None) -> np.ndarray:
+                        _stencil: _Stencil | None = None) -> np.ndarray:
     """Gamma[k, i, j] from central differences of the jet-exact metric."""
-    _check_step(h)
-    u = np.asarray(u, dtype=float)
-    _require_ball(chart, u, h)
-    cache = _cache if _cache is not None else _PointCache(chart)
-    dg = _fd_tensor_jac(lambda p: cache.sd(p).metric, u, h)
+    st = _stencil if _stencil is not None else _Stencil(chart, u, h)
+    dg = st.d1(lambda sd: sd.metric)
     combo = dg + dg.transpose(1, 0, 2) - dg.transpose(2, 1, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", cache.sd(u).metric_inv, combo)
+    return 0.5 * np.einsum("kl,ijl->kij", st.center.metric_inv, combo)
 
 
 def nabla_phi_norm2(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP, *,
-                    _cache: _PointCache | None = None) -> float:
+                    _stencil: _Stencil | None = None) -> float:
     """Squared norm of the covariant derivative of the traceless tensor.
 
     Coordinate partials of phi_ij and the Christoffel symbols both come from
@@ -490,13 +464,10 @@ def nabla_phi_norm2(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP, *,
     three inverse metrics is mathematically nonnegative, so tiny negative
     rounding is clamped to zero.
     """
-    _check_step(h)
-    u = np.asarray(u, dtype=float)
-    _require_ball(chart, u, h)
-    cache = _cache if _cache is not None else _PointCache(chart)
-    sd0 = cache.sd(u)
-    gamma = christoffel_symbols(chart, u, h, _cache=cache)
-    dphi = _fd_tensor_jac(lambda p: cache.sd(p).traceless_lowered, u, h)
+    st = _stencil if _stencil is not None else _Stencil(chart, u, h)
+    sd0 = st.center
+    gamma = christoffel_symbols(chart, u, h, _stencil=st)
+    dphi = st.d1(lambda sd: sd.traceless_lowered)
     phi = sd0.traceless_lowered
     cov = (dphi
            - np.einsum("lki,lj->kij", gamma, phi)
@@ -504,20 +475,6 @@ def nabla_phi_norm2(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP, *,
     ginv = sd0.metric_inv
     val = float(np.einsum("ka,ib,jc,kij,abc->", ginv, ginv, ginv, cov, cov))
     return max(val, 0.0)
-
-
-def _simons_residual_single(chart: ImmersionChart, u: np.ndarray, h: float,
-                            cache: _PointCache) -> float:
-    lap = laplace_beltrami(chart, scalar_field("phi_norm2"), u, h, _cache=cache)
-    nphi2 = nabla_phi_norm2(chart, u, h, _cache=cache)
-    sd0 = cache.sd(u)
-    n, c = chart.space.n, chart.space.c
-    hmean = sd0.mean_curvature
-    p = sd0.traceless_shape
-    tr_cubed = float(np.trace(p @ p @ p))
-    p2 = sd0.traceless_norm2
-    rhs = nphi2 + n * hmean * tr_cubed - p2 * (p2 - n * (c + hmean**2))
-    return 0.5 * lap - rhs
 
 
 # Residual base step, larger than the generic one: the extrapolated pair
@@ -528,8 +485,7 @@ def _simons_residual_single(chart: ImmersionChart, u: np.ndarray, h: float,
 DEFAULT_SIMONS_STEP = 3e-4
 
 
-def simons_residual(chart: ImmersionChart, u, h: float = DEFAULT_SIMONS_STEP, *,
-                    richardson: bool = True) -> float:
+def simons_residual(chart: ImmersionChart, u, h: float = DEFAULT_SIMONS_STEP) -> float:
     """Residual of the constant-H Laplacian identity for |Phi|^2.
 
     Returns (1/2) Lap |Phi|^2 - [ |nabla Phi|^2 + n H tr(Phi^3)
@@ -537,18 +493,31 @@ def simons_residual(chart: ImmersionChart, u, h: float = DEFAULT_SIMONS_STEP, *,
     the identity at the point.  The sampled mean curvature over the stencil
     must be constant to 1e-7.
 
-    By default the residual is evaluated at steps 2h and h and Richardson
-    extrapolated; near an unduloid neck the fourth profile derivatives are
-    large enough that a plain O(h^2) value would blow the 1e-5 budget.
+    The residual is evaluated at steps h and 2h and Richardson extrapolated;
+    near an unduloid neck the fourth profile derivatives are large enough
+    that a plain O(h^2) value would blow the 1e-5 budget.  The two mixed
+    stencils share their centre: 4n^2 + 1 points in all.
     """
     _check_step(h)
+    _check_step(2.0 * h)
     u = np.asarray(u, dtype=float)
-    cache = _PointCache(chart)
-    res = _simons_residual_single(chart, u, h, cache)
-    if richardson:
-        coarse = _simons_residual_single(chart, u, 2.0 * h, cache)
-        res = (4.0 * res - coarse) / 3.0
-    spread = cache.mean_curvature_spread()
+    _require_ball(chart, u, 4.0 * h)
+    fine = _Stencil(chart, u, h, mixed=True)
+    coarse = _Stencil(chart, u, 2.0 * h, mixed=True, center=fine.center)
+    sd0 = fine.center
+    n, c = chart.space.n, chart.space.c
+    hmean = sd0.mean_curvature
+    p = sd0.traceless_shape
+    tr_cubed = float(np.trace(p @ p @ p))
+    p2 = sd0.traceless_norm2
+    cubic, quartic = n * hmean * tr_cubed, p2 * (p2 - n * (c + hmean**2))
+    fine_res, coarse_res = (
+        0.5 * laplace_beltrami(chart, scalar_field("phi_norm2"), u, st.h, _stencil=st)
+        - (nabla_phi_norm2(chart, u, st.h, _stencil=st) + cubic - quartic)
+        for st in (fine, coarse))
+    res = (4.0 * fine_res - coarse_res) / 3.0
+    hs = [sd.mean_curvature for sd in fine.points + coarse.points[1:]]
+    spread = max(hs) - min(hs)
     if spread >= _H_SPREAD_TOL:
         raise NonConstantMeanCurvature(
             f"sampled mean curvature spread {spread:.3e} exceeds {_H_SPREAD_TOL}")

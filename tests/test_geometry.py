@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -259,13 +260,63 @@ _FD_FUNCTIONS = {
 }
 
 
+def stencil_points(u, h, mixed):
+    """The centre, u +- h e_i and, when mixed, u +- h e_i +- h e_j (i < j)."""
+    e = h * np.eye(len(u))
+    moves = [np.zeros(len(u))] + [s * e[i] for i in range(len(u)) for s in (1, -1)]
+    if mixed:
+        moves += [s * e[i] + t * e[j] for i, j in itertools.combinations(range(len(u)), 2)
+                  for s in (1, -1) for t in (1, -1)]
+    return {tuple((np.asarray(u) + m).tolist()) for m in moves}
+
+
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf, 1e-300])
 @pytest.mark.parametrize("name", list(_FD_FUNCTIONS))
-def test_fd_functions_reject_bad_steps(name, h):
+def test_fd_functions_reject_bad_steps(counting_chart, name, h):
     # 1e-300 is positive, but h*h underflows to zero.
-    chart = build_chart(EuclideanProduct(2, 1, 0.7))
+    chart, points = counting_chart(build_chart(EuclideanProduct(2, 1, 0.7)))
     with pytest.raises(ValueError):
         _FD_FUNCTIONS[name](chart, [0.3, 1.1], h)
+    assert points == []
+
+
+# Distance from the edge of the bounded axis, in steps: inside the ball each
+# function checks (h; 2h for the Laplacian; 4h for the residual, whose
+# step-2h stencil needs it) but outside any smaller one.
+@pytest.mark.parametrize("name, steps", [
+    ("laplace_beltrami", 1.5), ("grad_norm", 0.5), ("christoffel_symbols", 0.5),
+    ("nabla_phi_norm2", 0.5), ("simons_residual", 3.0), ("intrinsic_gauss_n2", 0.5)])
+def test_fd_functions_check_the_domain_before_evaluating(counting_chart, name, steps):
+    h = 1e-4
+    chart, points = counting_chart(build_chart(EuclideanProduct(2, 1, 0.7)))
+    with pytest.raises(DomainExceeded):
+        _FD_FUNCTIONS[name](chart, [2.0 - steps * h, 1.1], h)
+    assert points == []
+
+
+# Per function: its stencils as (step in units of h, mixed), and the number
+# of points they hold together on an n-dimensional chart.
+_STENCILS = {
+    "laplace_beltrami": ([(1.0, True)], lambda n: 2 * n * n + 1),
+    "grad_norm": ([(1.0, False)], lambda n: 2 * n + 1),
+    "christoffel_symbols": ([(1.0, False)], lambda n: 2 * n + 1),
+    "nabla_phi_norm2": ([(1.0, False)], lambda n: 2 * n + 1),
+    "simons_residual": ([(1.0, True), (2.0, True)], lambda n: 4 * n * n + 1),
+}
+
+
+@pytest.mark.parametrize("model, u", [(Unduloid(1.0, 0.5), [0.9, 0.4]),
+                                      (EuclideanProduct(3, 2, 1.0), [0.3, 1.1, 0.7])],
+                         ids=["n2", "n3"])
+@pytest.mark.parametrize("name", list(_STENCILS))
+def test_fd_functions_evaluate_each_stencil_point_once(counting_chart, model, u, name):
+    h = 1e-4
+    chart, points = counting_chart(build_chart(model))
+    _FD_FUNCTIONS[name](chart, u, h)
+    stencils, count = _STENCILS[name]
+    expected = set().union(*(stencil_points(u, k * h, mixed) for k, mixed in stencils))
+    assert len(expected) == len(points) == count(len(u))
+    assert set(points) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmcgeo.catalog import EuclideanProduct, Unduloid, build_chart
-from cmcgeo.errors import DomainError, SearchFailed
+from cmcgeo.errors import DomainError, DomainExceeded, SearchFailed
 from cmcgeo.geometry import scalar_field
 from cmcgeo.maxprinciple import (
     OYWitness,
@@ -71,6 +71,32 @@ def test_weak_search_failure_carries_best_slack():
     err = info.value
     assert err.best_gap == pytest.approx(0.0, abs=1e-12)
     assert err.best_laplacian > 1.0  # grid misses the neck; Laplacian positive
+
+
+def test_verify_evaluates_each_stencil_point_once(counting_chart):
+    chart, points = counting_chart(build_chart(Unduloid(1.0, 0.5)))
+    pts = [MAX_POINT.copy(), np.array([2.2, 1.0]), np.array([0.4, 0.2])]
+    verify_oy_points(chart, PHI2, OYWitness(pts, 18.0, mode="full"))
+    n = 2
+    assert len(set(points)) == len(points) == len(pts) * (2 * n * n + 1)
+
+
+def test_weak_search_evaluates_each_point_once(counting_chart):
+    chart, points = counting_chart(build_chart(Unduloid(1.0, 0.5)))
+    weak_oy_search(chart, PHI2, (16, 4), 3)
+    # The grid once, then the other 2n^2 = 8 points of each Laplacian stencil.
+    assert len(set(points)) == len(points) > 16 * 4
+    assert (len(points) - 16 * 4) % 8 == 0
+
+
+def test_verify_checks_step_and_domain_before_evaluating(counting_chart):
+    # The flat axis of EuclideanProduct(2, 1, 0.7) is [-2, 2].
+    chart, points = counting_chart(build_chart(EuclideanProduct(2, 1, 0.7)))
+    with pytest.raises(ValueError):
+        verify_oy_points(chart, PHI2, OYWitness([np.array([0.3, 1.0])], 1.0), h=math.nan)
+    with pytest.raises(DomainExceeded):
+        verify_oy_points(chart, PHI2, OYWitness([np.array([2.0 - 1.5e-4, 1.0])], 1.0), h=1e-4)
+    assert points == []
 
 
 def test_witness_validation():

@@ -351,11 +351,19 @@ def _unduloid_chart(m: Unduloid) -> ImmersionChart:
     abs_h = abs(h)
     knot_tables: dict[int, list[float]] = {}  # filled on first evaluation
 
+    def x_parts(s: float) -> tuple[float, float, float]:
+        return (_unduloid_x(h, b, s, _DEFAULT_X_TOL, knot_tables),
+                _unduloid_x_prime(h, b, s), _unduloid_x_second(h, b, s))
+
     def ev(u: np.ndarray) -> list[Jet2]:
-        s, theta = float(u[0]), float(u[1])
-        xj = Jet2(_unduloid_x(h, b, s, _DEFAULT_X_TOL, knot_tables),
-                  np.array([_unduloid_x_prime(h, b, s), 0.0]),
-                  np.array([[_unduloid_x_second(h, b, s), 0.0], [0.0, 0.0]]))
+        s, theta = u[0], u[1]
+        if u.ndim == 1:
+            x, xp, xpp = x_parts(float(s))
+            zero = 0.0
+        else:  # one knot-table integral per point
+            x, xp, xpp = np.array([x_parts(t) for t in s.tolist()]).T
+            zero = np.zeros_like(x)
+        xj = Jet2(x, np.array([xp, zero]), np.array([[xpp, zero], [zero, zero]]))
         sj = Jet2.variable(s, 0, 2)
         tj = Jet2.variable(theta, 1, 2)
         q = 1.0 + b * b + 2.0 * b * (2.0 * h * sj).sin()

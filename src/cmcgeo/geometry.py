@@ -39,7 +39,7 @@ from .errors import (
 )
 # perfbench/tracing.py patches jacobi_eigh and nullspace_unit by name, both
 # here and in numeric, so they stay imported under these names.
-from .numeric import Jet2, jacobi_eigh, nullspace_unit
+from .numeric import Jet2, _nullspace_batch, jacobi_eigh, nullspace_unit
 from .spaceform import AmbientSpace, metric_weights, validate_point
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "ScalarField",
     "scalar_field",
     "shape_data_at",
+    "shape_data_batch",
     "curvature_tensor",
     "ricci",
     "ricci_from_curvature",
@@ -102,6 +103,14 @@ class ImmersionChart:
     ambient coordinate, carrying the exact value, first and second partials
     of the immersion.  Charts built from periodic functions may be evaluated
     beyond a periodic seam; bounded axes are honest truncation windows.
+
+    ``eval_jets`` also receives P points at once, as an array of shape
+    (n, P) whose rows are coordinates; ``Jet2.variable`` of a row is then a
+    batched jet, so one jet expression serves both shapes as long as its
+    constants are plain numbers.  A component may be a jet without a point
+    axis (``Jet2.constant``); it is the same at every point.  A chart that
+    cannot take (n, P) still works: ``shape_data_batch`` then evaluates its
+    points one at a time.
     """
 
     space: AmbientSpace
@@ -119,8 +128,9 @@ class ImmersionChart:
 
     def jets(self, u) -> list[Jet2]:
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise SizeMismatch(f"chart point of shape {u.shape}, expected ({self.dim},)")
+        if u.shape != (self.dim,) and (u.ndim != 2 or u.shape[0] != self.dim):
+            raise SizeMismatch(
+                f"chart point of shape {u.shape}, expected ({self.dim},) or ({self.dim}, P)")
         jets = self.eval_jets(u)
         if len(jets) != self.space.ambient_dim:
             raise SizeMismatch("chart evaluation returned wrong number of components")
@@ -265,6 +275,110 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True,
         first_partials=d1,
         second_partials=d2,
     )
+
+
+def _jet_arrays(jets: list[Jet2], count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (P, m), first partials (P, m, n) and second partials
+    (P, m, n, n) of the components of a batched chart evaluation at
+    ``count`` points; a jet without a point axis is the same at each."""
+    pos, d1, d2 = [], [], []
+    for j in jets:
+        if np.ndim(j.value):
+            pos.append(j.value)
+            d1.append(j.grad)
+            d2.append(j.hess)
+        else:
+            pos.append(np.full(count, j.value))
+            d1.append(np.broadcast_to(j.grad[:, None], (*j.grad.shape, count)))
+            d2.append(np.broadcast_to(j.hess[..., None], (*j.hess.shape, count)))
+    return (np.ascontiguousarray(np.array(pos).T),
+            np.ascontiguousarray(np.moveaxis(np.array(d1), -1, 0)),
+            np.ascontiguousarray(np.moveaxis(np.array(d2), -1, 0)))
+
+
+def shape_data_batch(chart: ImmersionChart, points, *, mean_convex: bool = True,
+                     flip: bool = False) -> list[ShapeData]:
+    """``shape_data_at`` at each of ``points`` (a sequence of chart points,
+    or an array of shape (P, n)), from one chart evaluation and one
+    vectorized pass over the points.
+
+    Every returned ShapeData equals ``shape_data_at`` at its point bit for
+    bit, and the call raises what a loop of ``shape_data_at`` would raise
+    first: a point that fails a check, or whose data is not finite, is
+    evaluated again by ``shape_data_at``, in order, after the pass.  If the
+    chart cannot be evaluated on all points at once, every point is.  The
+    pass has a fixed cost: for a single point ``shape_data_at`` is faster.
+    """
+    space = chart.space
+    n = space.n
+    u = np.array(points, dtype=float)
+    if u.ndim != 2 or u.shape[1] != n:
+        raise SizeMismatch(f"chart points of shape {u.shape}, expected (P, {n})")
+    count = u.shape[0]
+    try:
+        pos, d1, d2 = _jet_arrays(chart.jets(u.T), count)
+    except Exception:  # whatever it was, the loop raises it at its own point
+        return [shape_data_at(chart, p, mean_convex=mean_convex, flip=flip) for p in u]
+    w = metric_weights(space)
+
+    # A point that fails a check of shape_data_at, or may, is recomputed by it.
+    bad = ~(np.isfinite(pos).all(axis=1) & np.isfinite(d1).all(axis=(1, 2))
+            & np.isfinite(d2).all(axis=(1, 2, 3)))
+    if space.c != 0:
+        bad |= [not validate_point(space, x, 1e-10) for x in pos]
+
+    g = np.einsum("m,pmi,pmj->pij", w, d1, d1)
+    det_g = np.linalg.det(g)
+    bad |= det_g <= _DET_FLOOR
+    g[bad] = _eye(n)  # keeps inv and eigh away from singular matrices
+    g_inv = np.linalg.inv(g)
+
+    rows = d1.transpose(0, 2, 1)
+    if space.c != 0:
+        rows = np.concatenate([rows, pos[:, None, :]], axis=1)
+    normal, rank_bad = _nullspace_batch(rows, "lorentzian" if space.c == -1 else "euclidean")
+    bad |= rank_bad
+    if flip:
+        normal = -normal
+
+    a = np.einsum("pm,pmij->pij", w * normal, d2)
+    shape_op = g_inv @ a
+    mean_curv = np.trace(shape_op, axis1=1, axis2=2) / n
+    if mean_convex:
+        turn = mean_curv < -_MEAN_CONVEX_EPS
+        normal = np.where(turn[:, None], -normal, normal)
+        a = np.where(turn[:, None, None], -a, a)
+        shape_op = np.where(turn[:, None, None], -shape_op, shape_op)
+        mean_curv = np.where(turn, -mean_curv, mean_curv)
+
+    traceless = shape_op - mean_curv[:, None, None] * _eye(n)
+    traceless_low = a - mean_curv[:, None, None] * g
+    phi_norm2 = np.einsum("pij,pji->p", traceless, traceless)
+    bad |= phi_norm2 < -1e-12
+
+    evals, vecs = jacobi_eigh(g)
+    bad |= evals[:, 0] <= 0.0
+    g_inv_sqrt = (vecs * (1.0 / np.sqrt(np.where(bad[:, None], 1.0, evals)))[:, None, :]) \
+        @ vecs.transpose(0, 2, 1)
+
+    # The scalars as Python floats, with the single-point arithmetic.
+    c = space.c
+    root_det = np.sqrt(np.where(bad, 1.0, det_g)).tolist()
+    hs = mean_curv.tolist()
+    phis = [max(p, 0.0) for p in phi_norm2.tolist()]
+    out = [
+        ShapeData(
+            point=u[i], space=space, metric=g[i], metric_inv=g_inv[i],
+            metric_inv_sqrt=g_inv_sqrt[i], sqrt_det_metric=root_det[i],
+            normal=normal[i], second_fundamental=a[i], shape_operator=shape_op[i],
+            mean_curvature=hs[i], traceless_shape=traceless[i],
+            traceless_lowered=traceless_low[i], traceless_norm2=phis[i],
+            scalar_curvature=n * (n - 1) * (c + hs[i]**2) - phis[i],
+            first_partials=d1[i], second_partials=d2[i])
+        for i in range(count)]
+    for i in np.flatnonzero(bad).tolist():
+        out[i] = shape_data_at(chart, u[i], mean_convex=mean_convex, flip=flip)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -17,16 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from . import geometry
 from .errors import DomainError, SearchFailed
 from .geometry import (
     DEFAULT_FD_STEP,
     ImmersionChart,
     ScalarField,
+    _check_step,
     _Stencil,
     grad_norm,
     laplace_beltrami,
     sample_points,
+    shape_data_batch,
 )
 from .numeric import adaptive_quadrature
 
@@ -101,12 +102,16 @@ def weak_oy_search(chart: ImmersionChart, fld: ScalarField, grid,
     with u > sup - 1/k and Lap u < 1/k is selected, candidates ordered by
     decreasing field value.  Raises SearchFailed, carrying the slack at the
     grid maximizer, when some k admits no point.
+
+    The FD step is checked before anything is evaluated.  The grid is
+    evaluated in one batch (``shape_data_batch``); each Laplacian stencil
+    then adds its other 2n^2 points one at a time.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_step(h)
     pts = list(sample_points(chart, grid))
-    # Called through the module, where perfbench/tracing.py counts every evaluation.
-    centres = [geometry.shape_data_at(chart, p) for p in pts]
+    centres = shape_data_batch(chart, pts)
     values = np.array([fld(sd) for sd in centres])
     sup_est = float(values.max())
     order = np.argsort(-values, kind="stable")

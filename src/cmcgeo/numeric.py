@@ -44,6 +44,47 @@ def _basis(nvars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
+def _reciprocal_coeffs(v: float) -> tuple[float, float, float]:
+    if v == 0.0:
+        raise DomainError("division by a jet with zero value")
+    return 1.0 / v, -1.0 / v**2, 2.0 / v**3
+
+
+def _sqrt_coeffs(v: float) -> tuple[float, float, float]:
+    if v <= 0.0:
+        raise DomainError(f"sqrt of a jet with non-positive value {v}")
+    r = math.sqrt(v)
+    return r, 0.5 / r, -0.25 / (v * r)
+
+
+def _sin_coeffs(v: float) -> tuple[float, float, float]:
+    s, c = math.sin(v), math.cos(v)
+    return s, c, -s
+
+
+def _cos_coeffs(v: float) -> tuple[float, float, float]:
+    s, c = math.sin(v), math.cos(v)
+    return c, -s, -c
+
+
+def _sinh_coeffs(v: float) -> tuple[float, float, float]:
+    s, c = math.sinh(v), math.cosh(v)
+    return s, c, s
+
+
+def _cosh_coeffs(v: float) -> tuple[float, float, float]:
+    s, c = math.sinh(v), math.cosh(v)
+    return c, s, c
+
+
+def _pow_coeffs(v: float, m: int) -> tuple[float, float, float]:
+    if m < 0 and v == 0.0:
+        raise DomainError("negative integer power of a jet with zero value")
+    f1 = m * v ** (m - 1) if m != 0 else 0.0
+    f2 = m * (m - 1) * v ** (m - 2) if m not in (0, 1) else 0.0
+    return v**m, f1, f2
+
+
 @dataclass(frozen=True, slots=True)
 class Jet2:
     """Truncated second-order Taylor data of a scalar quantity.
@@ -53,9 +94,18 @@ class Jet2:
     Arithmetic combines jets by the exact product/chain rules; the Hessian
     stays bit-symmetric because every update is built from symmetric terms.
     A plain number takes a scalar path equal to the one through ``constant``.
+
+    A jet is scalar (``value`` a float, ``grad`` of shape (n,), ``hess``
+    (n, n)) or batched over P points by a trailing point axis (``value``
+    (P,), ``grad`` (n, P), ``hess`` (n, n, P)); ``variable`` makes a batched
+    jet from an array of values.  One arithmetic serves both, and each point
+    of a batched result equals the scalar result at that point bit for bit.
+    Operands of one operation are both scalar or both batched, so a constant
+    inside batched arithmetic is a plain number; ``constant`` jets have no
+    point axis.
     """
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
@@ -64,8 +114,12 @@ class Jet2:
         return Jet2(float(value), *_basis(nvars)[:2])
 
     @staticmethod
-    def variable(value: float, index: int, nvars: int) -> "Jet2":
+    def variable(value, index: int, nvars: int) -> "Jet2":
         _, zero_hess, units = _basis(nvars)
+        if isinstance(value, np.ndarray) and value.ndim:
+            value = np.array(value, dtype=float)
+            return Jet2(value, np.broadcast_to(units[index][:, None], (nvars, *value.shape)),
+                        np.broadcast_to(zero_hess[..., None], (nvars, nvars, *value.shape)))
         return Jet2(float(value), units[index], zero_hess)
 
     @property
@@ -102,7 +156,7 @@ class Jet2:
         return Jet2(
             self.value * other.value,
             self.value * other.grad + other.value * self.grad,
-            self.value * other.hess + other.value * self.hess + cross + cross.T,
+            self.value * other.hess + other.value * self.hess + cross + cross.swapaxes(0, 1),
         )
 
     __rmul__ = __mul__
@@ -119,48 +173,39 @@ class Jet2:
 
     # -- elementary functions -----------------------------------------------
 
-    def _chain(self, f0: float, f1: float, f2: float) -> "Jet2":
-        """Jet of f(self) given f, f', f'' at self.value."""
+    def _chain(self, coeffs, *args) -> "Jet2":
+        """Jet of f(self), where ``coeffs(v, *args)`` gives f, f', f'' at a
+        float v.  A batched jet calls it at each point's value, in the same
+        float arithmetic as a scalar jet, so the two agree bit for bit;
+        numpy's own sinh, cosh and powers need not."""
+        v = self.value
+        if isinstance(v, np.ndarray):
+            f0, f1, f2 = np.array([coeffs(x, *args) for x in v.tolist()]).T
+        else:
+            f0, f1, f2 = coeffs(v, *args)
         g = self.grad
         return Jet2(f0, f1 * g, f1 * self.hess + f2 * (g[:, None] * g))
 
     def _reciprocal(self) -> "Jet2":
-        v = self.value
-        if v == 0.0:
-            raise DomainError("division by a jet with zero value")
-        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return self._chain(_reciprocal_coeffs)
 
     def sqrt(self) -> "Jet2":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError(f"sqrt of a jet with non-positive value {v}")
-        r = math.sqrt(v)
-        return self._chain(r, 0.5 / r, -0.25 / (v * r))
+        return self._chain(_sqrt_coeffs)
 
     def sin(self) -> "Jet2":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(s, c, -s)
+        return self._chain(_sin_coeffs)
 
     def cos(self) -> "Jet2":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(c, -s, -c)
+        return self._chain(_cos_coeffs)
 
     def sinh(self) -> "Jet2":
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._chain(s, c, s)
+        return self._chain(_sinh_coeffs)
 
     def cosh(self) -> "Jet2":
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._chain(c, s, c)
+        return self._chain(_cosh_coeffs)
 
     def pow_int(self, exponent: int) -> "Jet2":
-        m = int(exponent)
-        v = self.value
-        if m < 0 and v == 0.0:
-            raise DomainError("negative integer power of a jet with zero value")
-        f1 = m * v ** (m - 1) if m != 0 else 0.0
-        f2 = m * (m - 1) * v ** (m - 2) if m not in (0, 1) else 0.0
-        return self._chain(v**m, f1, f2)
+        return self._chain(_pow_coeffs, int(exponent))
 
 
 # --------------------------------------------------------------------------
@@ -291,3 +336,22 @@ def nullspace_unit(rows: Sequence[np.ndarray], form: str = "euclidean") -> np.nd
     if norm2 <= 0.0:
         raise DomainError("orthogonal complement is not spacelike")
     return v / math.sqrt(norm2)
+
+
+def _nullspace_batch(rows: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
+    """``nullspace_unit`` over a leading point axis.
+
+    ``rows`` of shape (P, dim - 1, dim) give unit vectors (P, dim), each
+    equal bit for bit to ``nullspace_unit`` of its rows, and a mask of the
+    points where ``nullspace_unit`` raises; their vectors are meaningless.
+    """
+    weights, keep, signs = _cofactor_plan(rows.shape[2], form)
+    peak = np.abs(rows).max(axis=2, keepdims=True)
+    a = rows * weights / np.where(peak > 0.0, peak, 1.0)
+    v = np.linalg.det(a[:, :, keep].transpose(0, 2, 1, 3)) * signs
+    # Per point, in the same float arithmetic as the single-point check.
+    bad = np.array([math.hypot(*vp) <= _RANK_RTOL * math.prod(math.hypot(*r) for r in ap)
+                    for vp, ap in zip(v.tolist(), a.tolist())])
+    norm2 = (weights * v * v).sum(axis=1)
+    bad |= norm2 <= 0.0
+    return v / np.sqrt(np.where(bad, 1.0, norm2))[:, None], bad

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from cmcgeo.catalog import (
     UmbilicalSphere,
     Unduloid,
     build_chart,
+    default_model_grid,
     unduloid_gauss_curvature,
     unduloid_profile,
 )
@@ -25,6 +27,7 @@ from cmcgeo.errors import (
 from cmcgeo.geometry import (
     ImmersionChart,
     Interval,
+    ShapeData,
     christoffel_symbols,
     curvature_tensor,
     grad_norm,
@@ -38,6 +41,7 @@ from cmcgeo.geometry import (
     scalar_from_curvature,
     sectional_curvature,
     shape_data_at,
+    shape_data_batch,
     simons_residual,
 )
 from cmcgeo.numeric import Jet2
@@ -368,6 +372,80 @@ def test_intrinsic_gauss_requires_orthogonal_chart():
                              (Interval(-1, 1), Interval(-1, 1)), ev)
     with pytest.raises(NonOrthogonalChart):
         intrinsic_gauss_n2(sheared, [0.1, 0.2])
+
+
+# ---------------------------------------------------------------------------
+# batched shape data
+# ---------------------------------------------------------------------------
+
+def wavy_graph_chart():
+    """Graph chart z = f(x, y) that uses every jet operation, with its
+    constants as plain numbers, so it takes one point or a batch."""
+    def ev(u):
+        x = Jet2.variable(u[0], 0, 2)
+        y = Jet2.variable(u[1], 1, 2)
+        z = (0.3 * (x * y).sin() + (1.0 + x.pow_int(2)).sqrt() / (2.0 + y.cosh())
+             - 0.1 * y.sinh() + x.cos() / 3.0 + 0.2 / (3.0 - x) - -(0.05 * y.pow_int(3)))
+        return [x, y, z]
+
+    dom = (Interval(-1.0, 1.0), Interval(0.0, 2.0 * math.pi, periodic=True))
+    return ImmersionChart(AmbientSpace(0, 2), dom, ev, name="wavy-graph")
+
+
+_SHAPE_FIELDS = [f.name for f in dataclasses.fields(ShapeData) if f.name != "space"]
+
+
+def _assert_same_shape_data(got, want):
+    assert got.space == want.space
+    for name in _SHAPE_FIELDS + ["principal_curvatures"]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b), name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("chart", [build_chart(m) for m in default_model_grid()]
+                         + [wavy_graph_chart()], ids=lambda c: c.name)
+def test_batch_equals_shape_data_at_bit_for_bit(counting_chart, chart):
+    chart, evaluated = counting_chart(chart)
+    pts = list(sample_points(chart, 4, max_points=24))
+    for flip in (False, True):
+        for mean_convex in (True, False):
+            del evaluated[:]
+            batch = shape_data_batch(chart, pts, mean_convex=mean_convex, flip=flip)
+            assert len(evaluated) == len(pts)  # one batched evaluation, no per-point rerun
+            for p, got in zip(pts, batch):
+                _assert_same_shape_data(
+                    got, shape_data_at(chart, p, mean_convex=mean_convex, flip=flip))
+
+
+def _sphere_batch_with_pole():
+    """Round 2-sphere chart points; the middle one sits on the pole, where
+    the metric degenerates."""
+    return build_chart(UmbilicalSphere(2, 0, 1.0)), [[1.0, 0.5], [0.0, 0.5], [2.0, 0.5]]
+
+
+def test_batch_raises_what_shape_data_at_raises_at_the_first_bad_point():
+    chart, pts = _sphere_batch_with_pole()
+    with pytest.raises(DegenerateMetric) as single:
+        shape_data_at(chart, pts[1])
+    with pytest.raises(DegenerateMetric) as batched:
+        shape_data_batch(chart, pts)
+    assert str(batched.value) == str(single.value)
+    # Without the pole the same batch goes through.
+    assert len(shape_data_batch(chart, pts[::2])) == 2
+
+
+def test_batch_of_a_chart_that_takes_one_point_only():
+    def ev(u):
+        r = float(u[0])  # a plain float: this chart cannot take (2, P)
+        x = Jet2.variable(r, 0, 2)
+        y = Jet2.variable(u[1], 1, 2)
+        return [x, y, 0.5 * x * x - 0.25 * y * y]
+
+    chart = ImmersionChart(AmbientSpace(0, 2), (Interval(-1, 1), Interval(-1, 1)), ev)
+    pts = list(sample_points(chart, 3))
+    for p, got in zip(pts, shape_data_batch(chart, pts)):
+        _assert_same_shape_data(got, shape_data_at(chart, p))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_weak_search_evaluates_each_point_once(counting_chart):
     assert (len(points) - 16 * 4) % 8 == 0
 
 
+@pytest.mark.parametrize("h", [0.0, math.nan, math.inf, 1e-300])
+def test_weak_search_checks_the_step_before_evaluating(counting_chart, h):
+    chart, points = counting_chart(build_chart(Unduloid(1.0, 0.5)))
+    with pytest.raises(ValueError):
+        weak_oy_search(chart, PHI2, (256, 4), 10, h=h)
+    assert points == []
+
+
 def test_verify_checks_step_and_domain_before_evaluating(counting_chart):
     # The flat axis of EuclideanProduct(2, 1, 0.7) is [-2, 2].
     chart, points = counting_chart(build_chart(EuclideanProduct(2, 1, 0.7)))

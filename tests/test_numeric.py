@@ -84,6 +84,74 @@ def test_jet_constant_and_variable_arrays_are_read_only():
         Jet2.variable(0.5, 0, 3).grad[1] = 2.0
     with pytest.raises(ValueError):
         Jet2.constant(1.0, 2).hess[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        Jet2.variable(np.array([0.5, 0.7]), 1, 3).grad[1, 0] = 2.0
+
+
+def _batched_jet(draw, n, count, values):
+    """A batched jet: value (P,), grad (n, P), symmetric hess (n, n, P)."""
+    size = count * (1 + n + n * n)
+    entries = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    h = entries[count * (1 + n):].reshape(n, n, count)
+    return Jet2(entries[:count], entries[count:count * (1 + n)].reshape(n, count),
+                h + h.swapaxes(0, 1))
+
+
+def _point(j: Jet2, p: int) -> Jet2:
+    return Jet2(float(j.value[p]), j.grad[:, p].copy(), j.hess[:, :, p].copy())
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+# Each entry of perfbench/tracing.py's JET_OPS, applied to batched jets
+# a, b of one shape, a number k and an integer m.
+_BATCHED_OPS = {
+    "__add__": lambda a, b, k, m: [a + b, a + k],
+    "__radd__": lambda a, b, k, m: [k + a],
+    "__neg__": lambda a, b, k, m: [-a],
+    "__sub__": lambda a, b, k, m: [a - b, a - k],
+    "__rsub__": lambda a, b, k, m: [k - a],
+    "__mul__": lambda a, b, k, m: [a * b, a * k],
+    "__rmul__": lambda a, b, k, m: [k * a],
+    "__truediv__": lambda a, b, k, m: [a / b, a / k],
+    "__rtruediv__": lambda a, b, k, m: [k / a],
+    "sqrt": lambda a, b, k, m: [a.sqrt()],
+    "sin": lambda a, b, k, m: [a.sin()],
+    "cos": lambda a, b, k, m: [a.cos()],
+    "sinh": lambda a, b, k, m: [a.sinh()],
+    "cosh": lambda a, b, k, m: [a.cosh()],
+    "pow_int": lambda a, b, k, m: [a.pow_int(m)],
+}
+_MODERATE = st.floats(-20.0, 20.0)  # sinh and cosh overflow past ~710
+_VALUES = {"sqrt": st.floats(0.01, 1e3), "sin": _MODERATE, "cos": _MODERATE,
+           "sinh": _MODERATE, "cosh": _MODERATE}
+
+
+def test_batched_ops_cover_every_traced_jet_op():
+    from perfbench.tracing import JET_OPS
+    assert set(_BATCHED_OPS) == set(JET_OPS)
+    assert all(name in Jet2.__dict__ for name in JET_OPS)
+    assert Jet2.__dict__["__radd__"] is Jet2.__dict__["__add__"]
+    assert Jet2.__dict__["__rmul__"] is Jet2.__dict__["__mul__"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_BATCHED_OPS)), st.integers(1, 3),
+       st.integers(1, 4), _NONZERO, st.integers(-3, 4))
+def test_batched_jet_ops_equal_per_point_ops_bit_for_bit(data, name, n, count, k, m):
+    a = _batched_jet(data.draw, n, count, _VALUES.get(name, _NONZERO))
+    b = _batched_jet(data.draw, n, count, _NONZERO)
+    batched = _BATCHED_OPS[name](a, b, k, m)
+    for p in range(count):
+        single = _BATCHED_OPS[name](_point(a, p), _point(b, p), k, m)
+        for got, want in zip(batched, single):
+            assert got.value.shape == (count,) and got.grad.shape == (n, count)
+            assert got.hess.shape == (n, n, count)
+            assert _bits(got.value[p]) == _bits(want.value)
+            assert _bits(got.grad[:, p]) == _bits(want.grad)
+            assert _bits(got.hess[:, :, p]) == _bits(want.hess)
 
 
 # Independent oracle for the chain rule: polynomials as coefficient maps,

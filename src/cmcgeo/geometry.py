@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    CmcError,
     DegenerateMetric,
     DomainError,
     DomainExceeded,
@@ -109,8 +110,8 @@ class ImmersionChart:
     batched jet, so one jet expression serves both shapes as long as its
     constants are plain numbers.  A component may be a jet without a point
     axis (``Jet2.constant``); it is the same at every point.  A chart that
-    cannot take (n, P) still works: ``shape_data_batch`` then evaluates its
-    points one at a time.
+    cannot take (n, P), and raises TypeError or ValueError on it, still
+    works: ``shape_data_batch`` then evaluates its points one at a time.
     """
 
     space: AmbientSpace
@@ -126,11 +127,15 @@ class ImmersionChart:
     def dim(self) -> int:
         return self.space.n
 
-    def jets(self, u) -> list[Jet2]:
+    def jets(self, u, *, batch: bool = False) -> list[Jet2]:
+        """``eval_jets`` at one point of shape (n,), or with ``batch`` at
+        the P points of an array of shape (n, P)."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,) and (u.ndim != 2 or u.shape[0] != self.dim):
-            raise SizeMismatch(
-                f"chart point of shape {u.shape}, expected ({self.dim},) or ({self.dim}, P)")
+        if batch:
+            if u.ndim != 2 or u.shape[0] != self.dim:
+                raise SizeMismatch(f"chart points of shape {u.shape}, expected ({self.dim}, P)")
+        elif u.shape != (self.dim,):
+            raise SizeMismatch(f"chart point of shape {u.shape}, expected ({self.dim},)")
         jets = self.eval_jets(u)
         if len(jets) != self.space.ambient_dim:
             raise SizeMismatch("chart evaluation returned wrong number of components")
@@ -296,8 +301,7 @@ def _jet_arrays(jets: list[Jet2], count: int) -> tuple[np.ndarray, np.ndarray, n
             np.ascontiguousarray(np.moveaxis(np.array(d2), -1, 0)))
 
 
-def shape_data_batch(chart: ImmersionChart, points, *, mean_convex: bool = True,
-                     flip: bool = False) -> list[ShapeData]:
+def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     """``shape_data_at`` at each of ``points`` (a sequence of chart points,
     or an array of shape (P, n)), from one chart evaluation and one
     vectorized pass over the points.
@@ -306,8 +310,10 @@ def shape_data_batch(chart: ImmersionChart, points, *, mean_convex: bool = True,
     bit, and the call raises what a loop of ``shape_data_at`` would raise
     first: a point that fails a check, or whose data is not finite, is
     evaluated again by ``shape_data_at``, in order, after the pass.  If the
-    chart cannot be evaluated on all points at once, every point is.  The
-    pass has a fixed cost: for a single point ``shape_data_at`` is faster.
+    chart evaluation on all points at once raises a package error, or the
+    TypeError or ValueError of a chart written for one point, every point
+    is evaluated by ``shape_data_at``.  The pass has a fixed cost, so a
+    single point goes to ``shape_data_at`` directly.
     """
     space = chart.space
     n = space.n
@@ -315,10 +321,14 @@ def shape_data_batch(chart: ImmersionChart, points, *, mean_convex: bool = True,
     if u.ndim != 2 or u.shape[1] != n:
         raise SizeMismatch(f"chart points of shape {u.shape}, expected (P, {n})")
     count = u.shape[0]
+    if count == 1:
+        return [shape_data_at(chart, u[0])]
     try:
-        pos, d1, d2 = _jet_arrays(chart.jets(u.T), count)
-    except Exception:  # whatever it was, the loop raises it at its own point
-        return [shape_data_at(chart, p, mean_convex=mean_convex, flip=flip) for p in u]
+        jets = chart.jets(u.T, batch=True)
+    except (TypeError, ValueError, CmcError):
+        # A package error belongs to some point; the loop raises it there.
+        return [shape_data_at(chart, p) for p in u]
+    pos, d1, d2 = _jet_arrays(jets, count)
     w = metric_weights(space)
 
     # A point that fails a check of shape_data_at, or may, is recomputed by it.
@@ -338,18 +348,15 @@ def shape_data_batch(chart: ImmersionChart, points, *, mean_convex: bool = True,
         rows = np.concatenate([rows, pos[:, None, :]], axis=1)
     normal, rank_bad = _nullspace_batch(rows, "lorentzian" if space.c == -1 else "euclidean")
     bad |= rank_bad
-    if flip:
-        normal = -normal
 
     a = np.einsum("pm,pmij->pij", w * normal, d2)
     shape_op = g_inv @ a
     mean_curv = np.trace(shape_op, axis1=1, axis2=2) / n
-    if mean_convex:
-        turn = mean_curv < -_MEAN_CONVEX_EPS
-        normal = np.where(turn[:, None], -normal, normal)
-        a = np.where(turn[:, None, None], -a, a)
-        shape_op = np.where(turn[:, None, None], -shape_op, shape_op)
-        mean_curv = np.where(turn, -mean_curv, mean_curv)
+    turn = mean_curv < -_MEAN_CONVEX_EPS
+    normal = np.where(turn[:, None], -normal, normal)
+    a = np.where(turn[:, None, None], -a, a)
+    shape_op = np.where(turn[:, None, None], -shape_op, shape_op)
+    mean_curv = np.where(turn, -mean_curv, mean_curv)
 
     traceless = shape_op - mean_curv[:, None, None] * _eye(n)
     traceless_low = a - mean_curv[:, None, None] * g
@@ -377,7 +384,7 @@ def shape_data_batch(chart: ImmersionChart, points, *, mean_convex: bool = True,
             first_partials=d1[i], second_partials=d2[i])
         for i in range(count)]
     for i in np.flatnonzero(bad).tolist():
-        out[i] = shape_data_at(chart, u[i], mean_convex=mean_convex, flip=flip)
+        out[i] = shape_data_at(chart, u[i])
     return out
 
 

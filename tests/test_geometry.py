@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from cmcgeo.catalog import (
     CliffordTorus,
     EuclideanProduct,
     HyperbolicCylinder,
+    ModelSpec,
+    SphereProduct,
     UmbilicalSphere,
     Unduloid,
     build_chart,
@@ -23,6 +26,7 @@ from cmcgeo.errors import (
     NonConstantMeanCurvature,
     NonOrthogonalChart,
     NotSurface,
+    SizeMismatch,
 )
 from cmcgeo.geometry import (
     ImmersionChart,
@@ -403,19 +407,35 @@ def _assert_same_shape_data(got, want):
         assert np.array_equal(a, b), name
 
 
+def _recording_shapes(chart):
+    """A copy of the chart and the list of the array shapes it is evaluated at."""
+    shapes = []
+
+    def ev(u):
+        shapes.append(u.shape)
+        return chart.eval_jets(u)
+
+    return dataclasses.replace(chart, eval_jets=ev), shapes
+
+
+def test_default_model_grid_covers_every_catalog_chart_builder():
+    # The bit-for-bit test below runs on the grid, so the grid must reach
+    # every model type and both branches of the hyperbolic and umbilical charts.
+    grid = default_model_grid()
+    assert {type(m) for m in grid} == set(typing.get_args(ModelSpec))
+    assert {m.n - m.k == 1 for m in grid if isinstance(m, HyperbolicCylinder)} == {True, False}
+    assert {m.c for m in grid if isinstance(m, UmbilicalSphere)} == {-1, 0, 1}
+
+
 @pytest.mark.parametrize("chart", [build_chart(m) for m in default_model_grid()]
                          + [wavy_graph_chart()], ids=lambda c: c.name)
-def test_batch_equals_shape_data_at_bit_for_bit(counting_chart, chart):
-    chart, evaluated = counting_chart(chart)
+def test_batch_equals_shape_data_at_bit_for_bit(chart):
+    chart, shapes = _recording_shapes(chart)
     pts = list(sample_points(chart, 4, max_points=24))
-    for flip in (False, True):
-        for mean_convex in (True, False):
-            del evaluated[:]
-            batch = shape_data_batch(chart, pts, mean_convex=mean_convex, flip=flip)
-            assert len(evaluated) == len(pts)  # one batched evaluation, no per-point rerun
-            for p, got in zip(pts, batch):
-                _assert_same_shape_data(
-                    got, shape_data_at(chart, p, mean_convex=mean_convex, flip=flip))
+    batch = shape_data_batch(chart, pts)
+    assert shapes == [(chart.dim, len(pts))]  # one batched evaluation, no per-point rerun
+    for p, got in zip(pts, batch):
+        _assert_same_shape_data(got, shape_data_at(chart, p))
 
 
 def _sphere_batch_with_pole():
@@ -435,6 +455,47 @@ def test_batch_raises_what_shape_data_at_raises_at_the_first_bad_point():
     assert len(shape_data_batch(chart, pts[::2])) == 2
 
 
+def test_batch_raises_the_chart_error_of_the_first_bad_point():
+    # Point 1 divides by y = 0; point 2, later, takes sqrt of x < 0.  The
+    # batched evaluation meets the sqrt first, a loop meets the division.
+    def ev(u):
+        x = Jet2.variable(u[0], 0, 2)
+        y = Jet2.variable(u[1], 1, 2)
+        return [x, y, x.sqrt() + 1.0 / y]
+
+    chart = ImmersionChart(AmbientSpace(0, 2), (Interval(-1, 1), Interval(-1, 1)), ev)
+    pts = [[0.5, 0.5], [0.5, 0.0], [-0.5, 0.5]]
+    with pytest.raises(DomainError) as single:
+        shape_data_at(chart, pts[1])
+    with pytest.raises(DomainError) as batched:
+        shape_data_batch(chart, pts)
+    assert str(batched.value) == str(single.value)
+
+
+def test_batch_does_not_hide_an_unexpected_chart_failure():
+    def ev(u):
+        if u.ndim == 2:
+            raise KeyError("batched evaluation broke")
+        x, y = Jet2.variable(u[0], 0, 2), Jet2.variable(u[1], 1, 2)
+        return [x, y, x * y]
+
+    chart = ImmersionChart(AmbientSpace(0, 2), (Interval(-1, 1), Interval(-1, 1)), ev)
+    with pytest.raises(KeyError):
+        shape_data_batch(chart, [[0.1, 0.2], [0.3, 0.4]])
+
+
+def test_per_point_evaluation_rejects_a_batch_of_points():
+    chart = build_chart(SphereProduct(3, 0.55))
+    pts = np.array(list(sample_points(chart, 2)))
+    for u in (pts.T, pts[:3, :2]):
+        with pytest.raises(SizeMismatch):
+            shape_data_at(chart, u)
+        with pytest.raises(SizeMismatch):
+            chart.position(u)
+    with pytest.raises(SizeMismatch):
+        chart.jets(pts[0], batch=True)
+
+
 def test_batch_of_a_chart_that_takes_one_point_only():
     def ev(u):
         r = float(u[0])  # a plain float: this chart cannot take (2, P)
@@ -444,8 +505,11 @@ def test_batch_of_a_chart_that_takes_one_point_only():
 
     chart = ImmersionChart(AmbientSpace(0, 2), (Interval(-1, 1), Interval(-1, 1)), ev)
     pts = list(sample_points(chart, 3))
-    for p, got in zip(pts, shape_data_batch(chart, pts)):
-        _assert_same_shape_data(got, shape_data_at(chart, p))
+    # Older numpy converts a one-point row to a float without an error,
+    # which would mix scalar and batched jets; one point takes shape_data_at.
+    for batch in (pts, pts[:1]):
+        for p, got in zip(batch, shape_data_batch(chart, batch)):
+            _assert_same_shape_data(got, shape_data_at(chart, p))
 
 
 # ---------------------------------------------------------------------------

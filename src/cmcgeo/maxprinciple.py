@@ -23,6 +23,7 @@ from .geometry import (
     ImmersionChart,
     ScalarField,
     _check_step,
+    _require_ball,
     _Stencil,
     grad_norm,
     laplace_beltrami,
@@ -72,24 +73,37 @@ def verify_oy_points(chart: ImmersionChart, fld: ScalarField,
 
     For the k-th point (1-based) the full mode requires, with strict
     comparisons, u > sup - 1/k, |grad u| < 1/k and Lap u < 1/k; the weak
-    mode drops the gradient condition.  Recomputed records are stored on
-    the witness.
+    mode drops the gradient condition.  Recomputed records replace those
+    on the witness only when every point has been checked.
+
+    The step and the domain ball of every point are checked before the
+    first evaluation.  Each distinct point (equal float coordinates) is
+    evaluated once, as one batched Laplacian stencil of 2n^2 + 1 points,
+    which every k at that point reuses.
     """
     mode = witness.mode if mode is None else mode
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
-    results = []
-    witness.records = []
-    for k, p in enumerate(witness.points, start=1):
-        st = _Stencil(chart, p, h, mixed=True)
+    _check_step(h)
+    points = [np.asarray(p, dtype=float) for p in witness.points]
+    for p in points:
+        _require_ball(chart, p, 2.0 * h)
+    stencils: dict[bytes, _Stencil] = {}
+    results, records = [], []
+    for k, p in enumerate(points, start=1):
+        key = p.tobytes()
+        if key not in stencils:
+            stencils[key] = _Stencil(chart, p, h, mixed=True)
+        st = stencils[key]
         value = fld(st.center)
-        lap = laplace_beltrami(chart, fld, st.u, h, _stencil=st)
-        gn = grad_norm(chart, fld, st.u, h, _stencil=st)
+        lap = laplace_beltrami(chart, fld, p, h, _stencil=st)
+        gn = grad_norm(chart, fld, p, h, _stencil=st)
         ok = value > witness.sup_estimate - 1.0 / k and lap < 1.0 / k
         if mode == "full":
             ok = ok and gn < 1.0 / k
-        witness.records.append(OYRecord(st.u, value, gn, lap))
+        records.append(OYRecord(p, value, gn, lap))
         results.append(bool(ok))
+    witness.records = records
     return results
 
 
@@ -105,7 +119,7 @@ def weak_oy_search(chart: ImmersionChart, fld: ScalarField, grid,
 
     The FD step is checked before anything is evaluated.  The grid is
     evaluated in one batch (``shape_data_batch``); each Laplacian stencil
-    then adds its other 2n^2 points one at a time.
+    then adds its other 2n^2 points in one more batch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

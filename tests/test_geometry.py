@@ -327,6 +327,35 @@ def test_fd_functions_evaluate_each_stencil_point_once(counting_chart, model, u,
     assert set(points) == expected
 
 
+# The FD functions with a stencil outside the residual, and whether that
+# stencil is mixed; each takes the stencil to use, or None for its own.
+_BATCHED_FD = {
+    "laplace_beltrami": (True, lambda chart, u, h, st: laplace_beltrami(chart, PHI2, u, h, _stencil=st)),
+    "grad_norm": (False, lambda chart, u, h, st: grad_norm(chart, PHI2, u, h, _stencil=st)),
+    "christoffel_symbols": (False, lambda chart, u, h, st: christoffel_symbols(chart, u, h, _stencil=st)),
+    "nabla_phi_norm2": (False, lambda chart, u, h, st: nabla_phi_norm2(chart, u, h, _stencil=st)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCHED_FD))
+def test_batched_fd_functions_equal_a_loop_of_shape_data_at_bit_for_bit(
+        stencil_chart, looped_stencil, name):
+    mixed, call = _BATCHED_FD[name]
+    chart, shapes = _recording_shapes(stencil_chart)
+    pts = list(sample_points(chart, 3))
+    u, h, n = pts[len(pts) // 2], 1e-4, chart.dim
+    want = call(chart, u, h, looped_stencil(chart, u, h, mixed))
+    shapes.clear()
+    got = call(chart, u, h, None)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    # One chart evaluation of every stencil point at once; a chart that
+    # takes one point only is then evaluated point by point.
+    count = 2 * n * n + 1 if mixed else 2 * n + 1
+    per_point = [(n,)] * count if chart.name == "one-point-only" else []
+    assert shapes == [(n, count)] + per_point
+
+
 # ---------------------------------------------------------------------------
 # intrinsic Gauss curvature
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from cmcgeo.catalog import EuclideanProduct, Unduloid, build_chart
 from cmcgeo.errors import DomainError, DomainExceeded, SearchFailed
-from cmcgeo.geometry import scalar_field
+from cmcgeo.geometry import DEFAULT_FD_STEP, grad_norm, laplace_beltrami, sample_points, scalar_field
 from cmcgeo.maxprinciple import (
     OYWitness,
     decay_admissible,
@@ -79,6 +79,63 @@ def test_verify_evaluates_each_stencil_point_once(counting_chart):
     verify_oy_points(chart, PHI2, OYWitness(pts, 18.0, mode="full"))
     n = 2
     assert len(set(points)) == len(points) == len(pts) * (2 * n * n + 1)
+
+
+@pytest.mark.parametrize("witness_points, distinct", [
+    ([MAX_POINT] * 6, 1),
+    ([MAX_POINT, np.array([2.2, 1.0]), MAX_POINT, np.array([0.4, 0.2]),
+      np.array([2.2, 1.0]), MAX_POINT], 3),
+], ids=["six-copies", "mixed"])
+def test_verify_evaluates_a_repeated_point_once(counting_chart, witness_points, distinct):
+    chart, points = counting_chart(build_chart(Unduloid(1.0, 0.5)))
+    pts = [p.copy() for p in witness_points]
+    verify_oy_points(chart, PHI2, OYWitness(pts, 18.0, mode="full"))
+    n = 2
+    assert len(set(points)) == len(points) == distinct * (2 * n * n + 1)
+
+
+def test_verify_records_equal_a_loop_of_shape_data_at_bit_for_bit(stencil_chart, looped_stencil):
+    chart, h = stencil_chart, DEFAULT_FD_STEP
+    grid = list(sample_points(chart, 3))
+    p, q = grid[len(grid) // 2], grid[1]
+    witness = OYWitness([p, q, p.copy(), q], 0.0, mode="full")
+    verify_oy_points(chart, PHI2, witness)
+    assert len(witness.records) == 4
+    for rec, pt in zip(witness.records, witness.points):
+        ref = looped_stencil(chart, pt, h, True)
+        assert rec.point is pt
+        assert rec.value == PHI2(ref.center)
+        assert rec.laplacian == laplace_beltrami(chart, PHI2, pt, h, _stencil=ref)
+        assert rec.grad_norm == grad_norm(chart, PHI2, pt, h, _stencil=ref)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0])
+def test_verify_keeps_the_records_when_it_raises(h):
+    chart = build_chart(Unduloid(1.0, 0.5))
+    witness = weak_oy_search(chart, PHI2, (16, 4), 3)
+    before = list(witness.records)
+    assert len(before) == 3
+    with pytest.raises(ValueError):
+        verify_oy_points(chart, PHI2, witness, h=h)
+    assert len(witness.records) == len(before)
+    assert all(r is b for r, b in zip(witness.records, before))
+
+
+def test_verify_checks_every_domain_ball_before_evaluating(counting_chart):
+    # The flat axis of EuclideanProduct(2, 1, 0.7) is [-2, 2]; only the last
+    # point's 2h-ball leaves it.
+    chart, points = counting_chart(build_chart(EuclideanProduct(2, 1, 0.7)))
+    good = [np.array([0.3, 1.0]), np.array([-0.5, 2.0])]
+    witness = OYWitness(good, 1.0 / 0.98, mode="full")
+    assert all(verify_oy_points(chart, PHI2, witness))
+    before = list(witness.records)
+    points.clear()
+    witness.points.append(np.array([2.0 - 1.5e-4, 1.0]))
+    with pytest.raises(DomainExceeded):
+        verify_oy_points(chart, PHI2, witness, h=1e-4)
+    assert points == []
+    assert len(witness.records) == len(before)
+    assert all(r is b for r, b in zip(witness.records, before))
 
 
 def test_weak_search_evaluates_each_point_once(counting_chart):

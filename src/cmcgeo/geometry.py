@@ -206,23 +206,32 @@ def scalar_field(name: str) -> ScalarField:
 # pointwise shape data
 # --------------------------------------------------------------------------
 
-def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True,
-                  flip: bool = False) -> ShapeData:
+def _point_arrays(chart: ImmersionChart, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (m,), first partials (m, n) and second partials (m, n, n) of
+    the chart's components at one point."""
+    jets = chart.jets(u)
+    return (np.array([j.value for j in jets]), np.array([j.grad for j in jets]),
+            np.array([j.hess for j in jets]))
+
+
+def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True, flip: bool = False,
+                  _arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ShapeData:
     """Compute all fundamental quantities of the immersion at a chart point.
 
     ``flip`` reverses the determinant-rule normal before the optional
     mean-convex normalization; with ``mean_convex=False`` the orientation is
     left as the determinant rule (possibly flipped) produced it, which is
     what orientation-invariance checks need.
+
+    The private ``_arrays`` gives the chart's values, first and second
+    partials at ``u``, one point's rows of a batched chart evaluation
+    (``_batched_arrays``); they then replace the chart evaluation and
+    nothing else changes.  Only the residual's stencil passes them.
     """
     space = chart.space
     u = np.asarray(u, dtype=float)
-    jets = chart.jets(u)
+    pos, d1, d2 = _point_arrays(chart, u) if _arrays is None else _arrays
     n = space.n
-
-    pos = np.array([j.value for j in jets])
-    d1 = np.array([j.grad for j in jets])        # (ambient, n)
-    d2 = np.array([j.hess for j in jets])        # (ambient, n, n)
     w = metric_weights(space)
 
     if space.c != 0 and not validate_point(space, pos, 1e-10):
@@ -282,10 +291,27 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True,
     )
 
 
-def _jet_arrays(jets: list[Jet2], count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batched_arrays(chart: ImmersionChart, u: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Values (P, m), first partials (P, m, n) and second partials
-    (P, m, n, n) of the components of a batched chart evaluation at
-    ``count`` points; a jet without a point axis is the same at each."""
+    (P, m, n, n) of the chart's components at the P rows of ``u``, from
+    one chart evaluation; a jet without a point axis is the same at each.
+
+    None means: evaluate the points one at a time, in order, so that the
+    first bad point raises what it raises alone.  That is the case when the
+    chart evaluation raises a package error (it belongs to some point), or
+    the TypeError or ValueError of a chart written for one point.  A single
+    point is also left to the per-point path: numpy older than 2.x turns a
+    one-element row into a float without error, so a chart written for one
+    point would mix scalar and batched jets.
+    """
+    count = u.shape[0]
+    if count == 1:
+        return None
+    try:
+        jets = chart.jets(u.T, batch=True)
+    except (TypeError, ValueError, CmcError):
+        return None
     pos, d1, d2 = [], [], []
     for j in jets:
         if np.ndim(j.value):
@@ -309,11 +335,10 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     Every returned ShapeData equals ``shape_data_at`` at its point bit for
     bit, and the call raises what a loop of ``shape_data_at`` would raise
     first: a point that fails a check, or whose data is not finite, is
-    evaluated again by ``shape_data_at``, in order, after the pass.  If the
-    chart evaluation on all points at once raises a package error, or the
-    TypeError or ValueError of a chart written for one point, every point
-    is evaluated by ``shape_data_at``.  The pass has a fixed cost, so a
-    single point goes to ``shape_data_at`` directly.
+    evaluated again by ``shape_data_at``, in order, after the pass.  Where
+    ``_batched_arrays`` gives no batch (a single point, a chart written for
+    one point, or a chart error), every point is evaluated by
+    ``shape_data_at``.
     """
     space = chart.space
     n = space.n
@@ -321,14 +346,10 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     if u.ndim != 2 or u.shape[1] != n:
         raise SizeMismatch(f"chart points of shape {u.shape}, expected (P, {n})")
     count = u.shape[0]
-    if count == 1:
-        return [shape_data_at(chart, u[0])]
-    try:
-        jets = chart.jets(u.T, batch=True)
-    except (TypeError, ValueError, CmcError):
-        # A package error belongs to some point; the loop raises it there.
+    arrays = _batched_arrays(chart, u)
+    if arrays is None:
         return [shape_data_at(chart, p) for p in u]
-    pos, d1, d2 = _jet_arrays(jets, count)
+    pos, d1, d2 = arrays
     w = metric_weights(space)
 
     # A point that fails a check of shape_data_at, or may, is recomputed by it.
@@ -500,7 +521,11 @@ class _Stencil:
     The step and the domain ball (radius 2h when ``mixed``, else h) are
     checked before any point is evaluated.  The listed points, in that
     order and without the centre when ``center`` is given, are then
-    evaluated once each, in one ``shape_data_batch`` call.
+    evaluated once each, in one ``shape_data_batch`` call.  With
+    ``per_point`` the chart is still evaluated at all of them in one call,
+    but each point's ShapeData is assembled by its own ``shape_data_at``
+    call, in order; where ``_batched_arrays`` gives no batch, each of those
+    calls evaluates the chart itself.
     """
 
     def __init__(self, chart: ImmersionChart, u, h: float, *, mixed: bool = False,
@@ -519,8 +544,12 @@ class _Stencil:
             # Only simons_residual: perfbench/tests/test_perfbench.py::
             # test_counts_repeat_exactly_and_match_4n2_plus_1 pins 4n^2+1
             # public shape_data_at calls per residual.  ROADMAP item 1
-            # redefines that count; this keyword goes with it.
-            evaluated = [shape_data_at(chart, p) for p in listed]
+            # redefines that count; this keyword and shape_data_at's
+            # private _arrays go with it.
+            arrays = _batched_arrays(chart, np.array(listed))
+            evaluated = [shape_data_at(chart, p, _arrays=None if arrays is None
+                                       else tuple(a[i] for a in arrays))
+                         for i, p in enumerate(listed)]
         else:
             evaluated = shape_data_batch(chart, listed)
         self.u, self.h, self.n = u, h, n
@@ -654,12 +683,11 @@ def simons_residual(chart: ImmersionChart, u, h: float = DEFAULT_SIMONS_STEP) ->
     return res
 
 
-def _metric_only(chart: ImmersionChart, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Metric and its exact partials without the rest of ShapeData."""
-    jets = chart.jets(u)
-    d1 = np.array([j.grad for j in jets])
-    d2 = np.array([j.hess for j in jets])
-    w = metric_weights(chart.space)
+def _metric_only(space: AmbientSpace, d1: np.ndarray,
+                 d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metric and its exact partials from the first and second partials of
+    the chart at one point, without the rest of ShapeData."""
+    w = metric_weights(space)
     g = np.einsum("m,mi,mj->ij", w, d1, d1)
     dg = (np.einsum("m,mki,mj->kij", w, d2, d1)
           + np.einsum("m,mi,mkj->kij", w, d1, d2))
@@ -673,23 +701,30 @@ def intrinsic_gauss_n2(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP) -> 
     K = -(1/(2 sqrt(EG))) [ d_s(d_s G / sqrt(EG)) + d_t(d_t E / sqrt(EG)) ],
     where the inner metric partials are jet-exact and only the outer
     derivative is a central difference.  Independent of the embedding.
+
+    The five points u, u +- h e_0, u +- h e_1 are evaluated in one chart
+    call and checked for orthogonality in that order.
     """
     if chart.space.n != 2:
         raise NotSurface("intrinsic Gauss curvature needs a 2-dimensional chart")
     _check_step(h)
     u = np.asarray(u, dtype=float)
     _require_ball(chart, u, h)
+    pts = [u, _shift(u, [(0, h)]), _shift(u, [(0, -h)]), _shift(u, [(1, h)]), _shift(u, [(1, -h)])]
+    arrays = _batched_arrays(chart, np.array(pts))
 
-    def inner(p: np.ndarray) -> tuple[float, float, float, float]:
-        g, dg = _metric_only(chart, p)
+    def inner(i: int) -> tuple[float, float, float, float]:
+        p = pts[i]
+        _, d1, d2 = _point_arrays(chart, p) if arrays is None else (a[i] for a in arrays)
+        g, dg = _metric_only(chart.space, d1, d2)
         if abs(g[0, 1]) > 1e-10:
             raise NonOrthogonalChart(f"g_12 = {g[0, 1]:.3e} at {p}")
         root = math.sqrt(g[0, 0] * g[1, 1])
         return dg[0, 1, 1] / root, dg[1, 0, 0] / root, g[0, 0], g[1, 1]
 
-    q_s0, q_t0, e0, g0 = inner(u)
-    d_s = (inner(_shift(u, [(0, h)]))[0] - inner(_shift(u, [(0, -h)]))[0]) / (2.0 * h)
-    d_t = (inner(_shift(u, [(1, h)]))[1] - inner(_shift(u, [(1, -h)]))[1]) / (2.0 * h)
+    q_s0, q_t0, e0, g0 = inner(0)
+    d_s = (inner(1)[0] - inner(2)[0]) / (2.0 * h)
+    d_t = (inner(3)[1] - inner(4)[1]) / (2.0 * h)
     return float(-(d_s + d_t) / (2.0 * math.sqrt(e0 * g0)))
 
 

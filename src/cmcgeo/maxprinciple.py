@@ -78,8 +78,9 @@ def verify_oy_points(chart: ImmersionChart, fld: ScalarField,
 
     The step and the domain ball of every point are checked before the
     first evaluation.  Each distinct point (equal float coordinates) is
-    evaluated once, as one batched Laplacian stencil of 2n^2 + 1 points,
-    which every k at that point reuses.
+    evaluated once, as one batched Laplacian stencil of 2n^2 + 1 points;
+    its value, Laplacian and gradient norm are computed once from that
+    stencil and reused for every k at that point.
     """
     mode = witness.mode if mode is None else mode
     if mode not in ("weak", "full"):
@@ -88,16 +89,15 @@ def verify_oy_points(chart: ImmersionChart, fld: ScalarField,
     points = [np.asarray(p, dtype=float) for p in witness.points]
     for p in points:
         _require_ball(chart, p, 2.0 * h)
-    stencils: dict[bytes, _Stencil] = {}
+    checked: dict[bytes, tuple[float, float, float]] = {}
     results, records = [], []
     for k, p in enumerate(points, start=1):
         key = p.tobytes()
-        if key not in stencils:
-            stencils[key] = _Stencil(chart, p, h, mixed=True)
-        st = stencils[key]
-        value = fld(st.center)
-        lap = laplace_beltrami(chart, fld, p, h, _stencil=st)
-        gn = grad_norm(chart, fld, p, h, _stencil=st)
+        if key not in checked:
+            st = _Stencil(chart, p, h, mixed=True)
+            checked[key] = (fld(st.center), laplace_beltrami(chart, fld, p, h, _stencil=st),
+                            grad_norm(chart, fld, p, h, _stencil=st))
+        value, lap, gn = checked[key]
         ok = value > witness.sup_estimate - 1.0 / k and lap < 1.0 / k
         if mode == "full":
             ok = ok and gn < 1.0 / k

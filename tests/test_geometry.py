@@ -6,6 +6,7 @@ import typing
 import numpy as np
 import pytest
 
+from cmcgeo import geometry
 from cmcgeo.catalog import (
     CliffordTorus,
     EuclideanProduct,
@@ -20,6 +21,7 @@ from cmcgeo.catalog import (
     unduloid_profile,
 )
 from cmcgeo.errors import (
+    CmcError,
     DegenerateMetric,
     DomainError,
     DomainExceeded,
@@ -354,6 +356,112 @@ def test_batched_fd_functions_equal_a_loop_of_shape_data_at_bit_for_bit(
     count = 2 * n * n + 1 if mixed else 2 * n + 1
     per_point = [(n,)] * count if chart.name == "one-point-only" else []
     assert shapes == [(n, count)] + per_point
+
+
+def _one_point_only(chart):
+    """A copy of the chart that raises TypeError on (n, P) input, as a chart
+    written for one point may: every point then takes the per-point path."""
+
+    def ev(u):
+        if np.ndim(u) != 1:
+            raise TypeError("this copy takes one point")
+        return chart.eval_jets(u)
+
+    return dataclasses.replace(chart, eval_jets=ev)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except CmcError as exc:
+        return type(exc), str(exc)
+
+
+def test_residual_equals_the_per_point_path_bit_for_bit(stencil_chart, monkeypatch):
+    chart, shapes = _recording_shapes(stencil_chart)
+    pts = list(sample_points(chart, 3))
+    u, n = pts[len(pts) // 2], chart.dim
+    # The one-point-only graph chart is not CMC: both paths raise
+    # NonConstantMeanCurvature, with the same spread in the message.
+    want = _outcome(simons_residual, _one_point_only(stencil_chart), u)
+    public_calls = []
+    original = geometry.shape_data_at
+
+    def counted(*args, **kwargs):
+        public_calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "shape_data_at", counted)
+    got = _outcome(simons_residual, chart, u)
+    assert type(got) is type(want) and got == want
+    # One chart evaluation per stencil (the step-2h one reuses the centre),
+    # then one public shape_data_at call per point.
+    fine, coarse = 2 * n * n + 1, 2 * n * n
+    if chart.name == "one-point-only":
+        assert shapes == [(n, fine)] + [(n,)] * fine + [(n, coarse)] + [(n,)] * coarse
+    else:
+        assert shapes == [(n, fine), (n, coarse)]
+    assert len(public_calls) == 4 * n * n + 1
+
+
+@pytest.mark.parametrize("model", [Unduloid(1.0, 0.5), EuclideanProduct(2, 1, 0.7),
+                                   UmbilicalSphere(2, 0, 2.0)],
+                         ids=["unduloid", "euclidean-product-n2", "umbilical-sphere"])
+def test_intrinsic_gauss_equals_the_per_point_path_bit_for_bit(model):
+    reference = build_chart(model)
+    chart, shapes = _recording_shapes(reference)
+    pts = list(sample_points(chart, 3))
+    u = pts[len(pts) // 2]
+    want = intrinsic_gauss_n2(_one_point_only(reference), u)
+    assert intrinsic_gauss_n2(chart, u) == want
+    assert shapes == [(2, 5)]
+
+
+def _plane_failing_at(shift, pole):
+    """The plane z = 0, written as 0 sqrt(x + 2y + shift) [+ 0 / (x - pole)]:
+    its jets raise DomainError where the sqrt or the division fails.  The
+    sqrt is computed first, so a batched evaluation meets its error before
+    the division error of an earlier point."""
+
+    def ev(u):
+        x, y = Jet2.variable(u[0], 0, 2), Jet2.variable(u[1], 1, 2)
+        z = 0.0 * (x + 2.0 * y + shift).sqrt()
+        return [x, y, z if pole is None else z + 0.0 / (x - pole)]
+
+    return ImmersionChart(AmbientSpace(0, 2), (Interval(-1, 1), Interval(-1, 1)), ev)
+
+
+# At u = 0 with step h: x + 2y + 5h is negative only at the residual's
+# corner (-2h, -2h), and x + 2y + 1.5h only at the Gauss point (0, -h).  The
+# pole sits on an earlier point of the same stencil: (2h, 0) and (h, 0).
+@pytest.mark.parametrize("name, shift, pole, first", [
+    ("simons_residual", 5.0, None, "sqrt of a jet with non-positive value"),
+    ("simons_residual", 5.0, 2.0, "division by a jet with zero value"),
+    ("intrinsic_gauss_n2", 1.5, None, "sqrt of a jet with non-positive value"),
+    ("intrinsic_gauss_n2", 1.5, 1.0, "division by a jet with zero value"),
+], ids=["residual-corner", "residual-pole-first", "gauss-point", "gauss-pole-first"])
+def test_fd_functions_raise_the_chart_error_of_the_first_bad_point(name, shift, pole, first):
+    h = 1e-4
+    chart = _plane_failing_at(shift * h, None if pole is None else pole * h)
+    want = _outcome(_FD_FUNCTIONS[name], _one_point_only(chart), [0.0, 0.0], h)
+    got = _outcome(_FD_FUNCTIONS[name], chart, [0.0, 0.0], h)
+    assert got == want
+    assert want[0] is DomainError and want[1].startswith(first)
+
+
+def test_intrinsic_gauss_names_the_first_non_orthogonal_point():
+    # z = (x + y)^2 / 2 has g_12 = (x + y)^2: zero at u = 0 and about h^2
+    # at each of its four neighbours, of which (h, 0) comes first.
+    def ev(u):
+        x, y = Jet2.variable(u[0], 0, 2), Jet2.variable(u[1], 1, 2)
+        return [x, y, 0.5 * (x + y) * (x + y)]
+
+    h = 1e-4
+    chart = ImmersionChart(AmbientSpace(0, 2), (Interval(-1, 1), Interval(-1, 1)), ev)
+    want = _outcome(intrinsic_gauss_n2, _one_point_only(chart), [0.0, 0.0], h)
+    assert _outcome(intrinsic_gauss_n2, chart, [0.0, 0.0], h) == want
+    assert want[0] is NonOrthogonalChart and want[1].endswith(f"at {np.array([h, 0.0])}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cmcgeo import maxprinciple
 from cmcgeo.catalog import EuclideanProduct, Unduloid, build_chart
 from cmcgeo.errors import DomainError, DomainExceeded, SearchFailed
 from cmcgeo.geometry import DEFAULT_FD_STEP, grad_norm, laplace_beltrami, sample_points, scalar_field
@@ -92,6 +93,36 @@ def test_verify_evaluates_a_repeated_point_once(counting_chart, witness_points, 
     verify_oy_points(chart, PHI2, OYWitness(pts, 18.0, mode="full"))
     n = 2
     assert len(set(points)) == len(points) == distinct * (2 * n * n + 1)
+
+
+def test_verify_checks_a_repeated_point_once(monkeypatch):
+    chart = build_chart(Unduloid(1.0, 0.5))
+    p, q = MAX_POINT, np.array([2.2, 1.0])
+    alone = {}
+    for pt in (p, q):
+        single = OYWitness([pt], 18.0, mode="full")
+        verify_oy_points(chart, PHI2, single)
+        alone[pt.tobytes()] = single.records[0]
+    calls = {"laplace_beltrami": 0, "grad_norm": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(maxprinciple, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(maxprinciple, name, counted)
+    pts = [p.copy(), q.copy(), p.copy(), p.copy(), q.copy()]
+    witness = OYWitness(pts, 18.0, mode="full")
+    results = verify_oy_points(chart, PHI2, witness)
+    assert calls == {"laplace_beltrami": 2, "grad_norm": 2}
+    # Each k keeps its own record, on its own point, and its own 1/k test.
+    for k, (rec, pt, ok) in enumerate(zip(witness.records, pts, results), start=1):
+        ref = alone[pt.tobytes()]
+        assert rec.point is pt
+        assert (rec.value, rec.laplacian, rec.grad_norm) == (ref.value, ref.laplacian, ref.grad_norm)
+        assert ok == (rec.value > 18.0 - 1.0 / k and rec.laplacian < 1.0 / k
+                      and rec.grad_norm < 1.0 / k)
+    assert results == [True, False, True, True, False]
 
 
 def test_verify_records_equal_a_loop_of_shape_data_at_bit_for_bit(stencil_chart, looped_stencil):

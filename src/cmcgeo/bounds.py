@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (
-    ModelSpec,
-    Unduloid,
-    closed_form_invariants,
-    unduloid_inf_gauss,
-)
+from .catalog import ModelSpec, closed_form_invariants
 from .errors import NonElliptic, NotTraceFree
 
 __all__ = [
@@ -180,7 +175,10 @@ class ClassificationVerdict:
     gauss_bound_ok: bool | None = None
 
 
-def classify(model: ModelSpec, tol_class: float = 1e-7) -> ClassificationVerdict:
+_TOL_CLASS = 1e-7  # sup |Phi| this close to 0 is umbilical, this close to alpha_H equality
+
+
+def classify(model: ModelSpec) -> ClassificationVerdict:
     """Decide which branch of the trichotomy a catalog model realizes.
 
     sup |Phi| is the closed-form ``phi_norm`` of every family: the constant
@@ -198,9 +196,9 @@ def classify(model: ModelSpec, tol_class: float = 1e-7) -> ClassificationVerdict
 
     sup_phi = inv.phi_norm
 
-    if sup_phi <= tol_class:
+    if sup_phi <= _TOL_CLASS:
         branch = "umbilical"
-    elif abs(sup_phi - alpha) <= tol_class:
+    elif abs(sup_phi - alpha) <= _TOL_CLASS:
         branch = "equality"
     else:
         branch = "strict"
@@ -210,10 +208,7 @@ def classify(model: ModelSpec, tol_class: float = 1e-7) -> ClassificationVerdict
     inf_gauss = None
     gauss_ok = None
     if n == 2:
-        if isinstance(model, Unduloid):
-            inf_gauss = unduloid_inf_gauss(model.H, model.B)
-        else:
-            inf_gauss = 0.5 * inf_scalar
+        inf_gauss = inv.inf_gauss if inv.inf_gauss is not None else 0.5 * inf_scalar
         if branch == "umbilical":
             gauss_ok = abs(inf_gauss - (inv.abs_H**2 + c)) <= 1e-9
         else:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "ClosedFormInvariants",
     "build_chart",
     "closed_form_invariants",
+    "closed_form_at",
     "UnduloidProfile",
     "unduloid_profile",
     "unduloid_gauss_curvature",
@@ -56,8 +57,21 @@ _KNOTS = 64  # knots per period in the unduloid axial-coordinate table
 # model specs
 # --------------------------------------------------------------------------
 
+class _Family:
+    """Base of the model classes.  A family's parameters are its dataclass
+    fields, each declared ``int`` or ``float``: the parser and the canonical
+    text read them from there, in declaration order."""
+
+    family: ClassVar[str]
+
+    def params_text(self) -> str:
+        return ",".join(
+            f"{f.name}={(_fmt if f.type == 'float' else str)(getattr(self, f.name))}"
+            for f in fields(self))
+
+
 @dataclass(frozen=True)
-class EuclideanProduct:
+class EuclideanProduct(_Family):
     """R^(n-k) x S^k(r) inside R^(n+1)."""
 
     n: int
@@ -78,12 +92,9 @@ class EuclideanProduct:
     def space(self) -> AmbientSpace:
         return AmbientSpace(0, self.n)
 
-    def params_text(self) -> str:
-        return f"n={self.n},k={self.k},r={_fmt(self.r)}"
-
 
 @dataclass(frozen=True)
-class SphereProduct:
+class SphereProduct(_Family):
     """S^1(sqrt(1-r^2)) x S^(n-1)(r) inside S^(n+1)."""
 
     n: int
@@ -101,12 +112,9 @@ class SphereProduct:
     def space(self) -> AmbientSpace:
         return AmbientSpace(1, self.n)
 
-    def params_text(self) -> str:
-        return f"n={self.n},r={_fmt(self.r)}"
-
 
 @dataclass(frozen=True)
-class CliffordTorus:
+class CliffordTorus(_Family):
     """Minimal S^k(sqrt(k/n)) x S^(n-k)(sqrt((n-k)/n)) inside S^(n+1)."""
 
     n: int
@@ -124,12 +132,9 @@ class CliffordTorus:
     def space(self) -> AmbientSpace:
         return AmbientSpace(1, self.n)
 
-    def params_text(self) -> str:
-        return f"n={self.n},k={self.k}"
-
 
 @dataclass(frozen=True)
-class HyperbolicCylinder:
+class HyperbolicCylinder(_Family):
     """H^(n-k)(-sqrt(1+r^2)) x S^k(r) inside H^(n+1), k = 1 or n-1."""
 
     n: int
@@ -157,12 +162,9 @@ class HyperbolicCylinder:
         h = hyperbolic_cylinder_mean_curvature(self.n, self.k, self.r)
         return h * h > 1.0
 
-    def params_text(self) -> str:
-        return f"n={self.n},k={self.k},r={_fmt(self.r)}"
-
 
 @dataclass(frozen=True)
-class Unduloid:
+class Unduloid(_Family):
     """Rotational Delaunay surface in R^3 with constant mean curvature H."""
 
     H: float
@@ -180,12 +182,9 @@ class Unduloid:
     def space(self) -> AmbientSpace:
         return AmbientSpace(0, 2)
 
-    def params_text(self) -> str:
-        return f"H={_fmt(self.H)},B={_fmt(self.B)}"
-
 
 @dataclass(frozen=True)
-class UmbilicalSphere:
+class UmbilicalSphere(_Family):
     """Totally umbilical distance sphere; r is the slice radius
     (Euclidean radius for c=0, sin/sinh of the geodesic radius for c=+1/-1).
     """
@@ -210,12 +209,10 @@ class UmbilicalSphere:
     def space(self) -> AmbientSpace:
         return AmbientSpace(self.c, self.n)
 
-    def params_text(self) -> str:
-        return f"n={self.n},c={self.c},r={_fmt(self.r)}"
 
-
-ModelSpec = Union[EuclideanProduct, SphereProduct, CliffordTorus,
-                  HyperbolicCylinder, Unduloid, UmbilicalSphere]
+_FAMILIES = (EuclideanProduct, SphereProduct, CliffordTorus,
+             HyperbolicCylinder, Unduloid, UmbilicalSphere)
+ModelSpec = Union[_FAMILIES]
 
 
 def _fmt(x: float) -> str:
@@ -573,24 +570,17 @@ class ClosedFormInvariants:
     ``kappas`` is the signed principal-curvature multiset (ascending) for
     the constant-curvature families and None for the unduloid, whose
     curvatures vary along the profile; ``phi_norm`` is sup |Phi| there.
-    ``alpha_H`` and ``branch_prediction`` are None when H^2 + c <= 0.
+    ``branch_prediction`` is None when H^2 + c <= 0.  ``inf_gauss`` is the
+    unduloid's infimum of the Gauss curvature and None for every other
+    family.
     """
 
     kappas: np.ndarray | None
     H_signed: float
     abs_H: float
     phi_norm: float
-    alpha_H: float | None
     branch_prediction: str | None
-
-
-def _alpha_or_none(n: int, c: int, abs_h: float) -> float | None:
-    from .bounds import BoundContext, gap_threshold
-    from .errors import NonElliptic
-    try:
-        return gap_threshold(BoundContext(n=n, c=c, H=abs_h))
-    except NonElliptic:
-        return None
+    inf_gauss: float | None = None
 
 
 def closed_form_invariants(model: ModelSpec) -> ClosedFormInvariants:
@@ -602,7 +592,6 @@ def closed_form_invariants(model: ModelSpec) -> ClosedFormInvariants:
         phi = math.sqrt(k * (n - k)) / (math.sqrt(n) * r)
         return ClosedFormInvariants(
             kappas=kappas, H_signed=h, abs_H=h, phi_norm=phi,
-            alpha_H=_alpha_or_none(n, 0, h),
             branch_prediction="equality" if k == n - 1 else "strict")
 
     if isinstance(model, SphereProduct):
@@ -613,8 +602,7 @@ def closed_form_invariants(model: ModelSpec) -> ClosedFormInvariants:
         phi = math.sqrt(n - 1) / (r * math.sqrt(n) * rho)
         branch = "equality" if r * r <= (n - 1) / n else "strict"
         return ClosedFormInvariants(
-            kappas=kappas, H_signed=h, abs_H=abs(h), phi_norm=phi,
-            alpha_H=_alpha_or_none(n, 1, abs(h)), branch_prediction=branch)
+            kappas=kappas, H_signed=h, abs_H=abs(h), phi_norm=phi, branch_prediction=branch)
 
     if isinstance(model, CliffordTorus):
         n, k = model.n, model.k
@@ -622,7 +610,7 @@ def closed_form_invariants(model: ModelSpec) -> ClosedFormInvariants:
                                np.full(k, math.sqrt((n - k) / k))])
         return ClosedFormInvariants(
             kappas=kappas, H_signed=0.0, abs_H=0.0, phi_norm=math.sqrt(n),
-            alpha_H=_alpha_or_none(n, 1, 0.0), branch_prediction="equality")
+            branch_prediction="equality")
 
     if isinstance(model, HyperbolicCylinder):
         n, k, r = model.n, model.k, model.r
@@ -630,18 +618,17 @@ def closed_form_invariants(model: ModelSpec) -> ClosedFormInvariants:
         kappas = np.sort(np.r_[np.full(n - k, r / rho), np.full(k, rho / r)])
         h = hyperbolic_cylinder_mean_curvature(n, k, r)
         phi = math.sqrt((n - k) * (r / rho) ** 2 + k * (rho / r) ** 2 - n * h * h)
-        alpha = _alpha_or_none(n, -1, h)
-        branch = None if alpha is None else ("equality" if k == n - 1 else "strict")
+        branch = (("equality" if k == n - 1 else "strict")
+                  if model.mean_curvature_exceeds_one else None)
         return ClosedFormInvariants(
-            kappas=kappas, H_signed=h, abs_H=h, phi_norm=phi,
-            alpha_H=alpha, branch_prediction=branch)
+            kappas=kappas, H_signed=h, abs_H=h, phi_norm=phi, branch_prediction=branch)
 
     if isinstance(model, Unduloid):
         abs_h = abs(model.H)
         return ClosedFormInvariants(
             kappas=None, H_signed=abs_h, abs_H=abs_h,
-            phi_norm=unduloid_sup_phi(model.H, model.B),
-            alpha_H=_alpha_or_none(2, 0, abs_h), branch_prediction="strict")
+            phi_norm=unduloid_sup_phi(model.H, model.B), branch_prediction="strict",
+            inf_gauss=unduloid_inf_gauss(model.H, model.B))
 
     if isinstance(model, UmbilicalSphere):
         n, c, r = model.n, model.c, model.r
@@ -653,9 +640,21 @@ def closed_form_invariants(model: ModelSpec) -> ClosedFormInvariants:
             kappa = math.sqrt(1.0 + r * r) / r
         return ClosedFormInvariants(
             kappas=np.full(n, kappa), H_signed=kappa, abs_H=kappa, phi_norm=0.0,
-            alpha_H=_alpha_or_none(n, c, kappa), branch_prediction="umbilical")
+            branch_prediction="umbilical")
 
     raise InvalidParameters(f"unknown model type {type(model).__name__}")
+
+
+def closed_form_at(model: ModelSpec, inv: ClosedFormInvariants, u) -> tuple[float, np.ndarray]:
+    """Closed-form |Phi| and ascending principal curvatures at chart point
+    ``u``, given ``inv = closed_form_invariants(model)``: its constants, or
+    for the unduloid the profile values at arclength u[0]."""
+    if isinstance(model, Unduloid):
+        s = float(u[0])
+        kgauss = unduloid_gauss_curvature(model.H, model.B, s)
+        k_mer, k_par = unduloid_principal_curvatures(model.H, model.B, s)
+        return math.sqrt(2.0 * (model.H**2 - kgauss)), np.sort([k_mer, k_par])
+    return inv.phi_norm, inv.kappas
 
 
 def r_from_H(c: int, n: int, abs_H: float, sign_choice: str = "minus",
@@ -697,14 +696,8 @@ def r_from_H(c: int, n: int, abs_H: float, sign_choice: str = "minus",
 # canonical textual form
 # --------------------------------------------------------------------------
 
-_FIELDS = {
-    "euclidean-product": (EuclideanProduct, {"n": int, "k": int, "r": float}),
-    "sphere-product": (SphereProduct, {"n": int, "r": float}),
-    "clifford": (CliffordTorus, {"n": int, "k": int}),
-    "hyperbolic-cylinder": (HyperbolicCylinder, {"n": int, "k": int, "r": float}),
-    "unduloid": (Unduloid, {"H": float, "B": float}),
-    "umbilical-sphere": (UmbilicalSphere, {"n": int, "c": int, "r": float}),
-}
+_BY_FAMILY = {cls.family: cls for cls in _FAMILIES}
+_CASTS = {"int": int, "float": float}  # keyed by Field.type: annotations are strings here
 
 
 def parse_model(text: str) -> ModelSpec:
@@ -717,25 +710,26 @@ def parse_model(text: str) -> ModelSpec:
     if not sep:
         raise ParseError(f"expected 'family:params', got {text!r}")
     head = head.strip()
-    if head not in _FIELDS:
+    if head not in _BY_FAMILY:
         raise ParseError(f"unknown family {head!r}")
-    cls, fields = _FIELDS[head]
+    cls = _BY_FAMILY[head]
+    casts = {f.name: _CASTS[f.type] for f in fields(cls)}
     kwargs = {}
     for item in tail.split(","):
         key, eq, val = item.partition("=")
         key = key.strip()
         if not eq or not key:
             raise ParseError(f"expected 'key=value', got {item!r}")
-        if key not in fields:
+        if key not in casts:
             raise ParseError(f"unknown parameter {key!r} for family {head!r}")
         if key in kwargs:
             raise ParseError(f"duplicate parameter {key!r}")
-        caster = fields[key]
+        caster = casts[key]
         try:
             kwargs[key] = caster(val.strip()) if caster is int else caster(val)
         except ValueError:
             raise ParseError(f"could not parse value {val.strip()!r} for {key!r}") from None
-    missing = set(fields) - set(kwargs)
+    missing = set(casts) - set(kwargs)
     if missing:
         raise ParseError(f"missing parameter(s) {sorted(missing)} for family {head!r}")
     return cls(**kwargs)

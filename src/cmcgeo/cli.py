@@ -123,9 +123,6 @@ def _model_record(model, *, residual_axis: int, residual_cap: int,
     residual_max = 0.0
     for u in _residual_points(chart, residual_axis, residual_cap, seed):
         residual_max = max(residual_max, abs(_residual(chart, u, h)))
-    inf_k = None
-    if isinstance(model, catalog.Unduloid):
-        inf_k = catalog.unduloid_inf_gauss(model.H, model.B)
     return {
         "family": model.family,
         "n": n,
@@ -139,7 +136,7 @@ def _model_record(model, *, residual_axis: int, residual_cap: int,
         "scalar_bound": sbound,
         "branch": branch,
         "residual_max": residual_max,
-        "inf_K": inf_k,
+        "inf_K": inv.inf_gauss,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -198,19 +195,10 @@ def _cmd_verify(args) -> int:
         bump("phi_norm2_vs_kappas",
              sd.traceless_norm2 - (float(np.dot(kap, kap)) - n * sd.mean_curvature**2))
         if c != 0:
-            pos = chart.position(u)
             target = 1.0 if c == 1 else -1.0
-            bump("point_on_space_form", bilinear_form(space, pos, pos) - target)
+            bump("point_on_space_form", bilinear_form(space, sd.position, sd.position) - target)
         bump("mean_curvature_vs_closed_form", sd.mean_curvature - inv.abs_H)
-        if isinstance(model, catalog.Unduloid):
-            kgauss = catalog.unduloid_gauss_curvature(model.H, model.B, float(u[0]))
-            closed_phi = math.sqrt(2.0 * (model.H**2 - kgauss))
-            k_mer, k_par = catalog.unduloid_principal_curvatures(
-                model.H, model.B, float(u[0]))
-            closed_kap = np.sort([k_mer, k_par])
-        else:
-            closed_phi = inv.phi_norm
-            closed_kap = inv.kappas
+        closed_phi, closed_kap = catalog.closed_form_at(model, inv, u)
         bump("phi_norm_vs_closed_form", math.sqrt(sd.traceless_norm2) - closed_phi)
         mismatch = min(float(np.max(np.abs(kap - closed_kap))),
                        float(np.max(np.abs(kap + closed_kap[::-1]))))

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -76,6 +76,7 @@ DEFAULT_FD_STEP = 1e-4
 _DET_FLOOR = 1e-12
 _MEAN_CONVEX_EPS = 1e-12
 _H_SPREAD_TOL = 1e-7
+_MARGIN_FRAC = 0.12  # sample_points leaves this share of a bounded axis out at each end
 _eye = functools.lru_cache(maxsize=None)(np.eye)
 
 
@@ -149,12 +150,14 @@ class ImmersionChart:
 class ShapeData:
     """Everything pointwise about the immersion at one chart point.
 
-    ``metric_inv_sqrt`` is g^(-1/2); its columns form a g-orthonormal
-    tangent frame.  ``principal_curvatures`` is computed on first access.
+    ``position`` is the point's ambient coordinates.  ``metric_inv_sqrt``
+    is g^(-1/2); its columns form a g-orthonormal tangent frame.
+    ``principal_curvatures`` is computed on first access.
     """
 
     point: np.ndarray
     space: AmbientSpace
+    position: np.ndarray
     metric: np.ndarray
     metric_inv: np.ndarray
     metric_inv_sqrt: np.ndarray
@@ -167,8 +170,6 @@ class ShapeData:
     traceless_lowered: np.ndarray
     traceless_norm2: float
     scalar_curvature: float
-    first_partials: np.ndarray = field(repr=False)
-    second_partials: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def principal_curvatures(self) -> np.ndarray:
@@ -214,14 +215,9 @@ def _point_arrays(chart: ImmersionChart, u) -> tuple[np.ndarray, np.ndarray, np.
             np.array([j.hess for j in jets]))
 
 
-def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True, flip: bool = False,
+def shape_data_at(chart: ImmersionChart, u, *,
                   _arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ShapeData:
     """Compute all fundamental quantities of the immersion at a chart point.
-
-    ``flip`` reverses the determinant-rule normal before the optional
-    mean-convex normalization; with ``mean_convex=False`` the orientation is
-    left as the determinant rule (possibly flipped) produced it, which is
-    what orientation-invariance checks need.
 
     The private ``_arrays`` gives the chart's values, first and second
     partials at ``u``, one point's rows of a batched chart evaluation
@@ -248,13 +244,11 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True, flip: b
         rows.append(pos)
     form = "lorentzian" if space.c == -1 else "euclidean"
     normal = nullspace_unit(rows, form)
-    if flip:
-        normal = -normal
 
     a = np.einsum("m,mij->ij", w * normal, d2)
     shape_op = g_inv @ a
     mean_curv = float(shape_op.trace()) / n
-    if mean_convex and mean_curv < -_MEAN_CONVEX_EPS:
+    if mean_curv < -_MEAN_CONVEX_EPS:
         normal, a, shape_op, mean_curv = -normal, -a, -shape_op, -mean_curv
 
     traceless = shape_op - mean_curv * _eye(n)
@@ -274,6 +268,7 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True, flip: b
     return ShapeData(
         point=u.copy(),
         space=space,
+        position=pos,
         metric=g,
         metric_inv=g_inv,
         metric_inv_sqrt=g_inv_sqrt,
@@ -286,8 +281,6 @@ def shape_data_at(chart: ImmersionChart, u, *, mean_convex: bool = True, flip: b
         traceless_lowered=traceless_low,
         traceless_norm2=phi_norm2,
         scalar_curvature=scalar,
-        first_partials=d1,
-        second_partials=d2,
     )
 
 
@@ -396,13 +389,12 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     phis = [max(p, 0.0) for p in phi_norm2.tolist()]
     out = [
         ShapeData(
-            point=u[i], space=space, metric=g[i], metric_inv=g_inv[i],
+            point=u[i], space=space, position=pos[i], metric=g[i], metric_inv=g_inv[i],
             metric_inv_sqrt=g_inv_sqrt[i], sqrt_det_metric=root_det[i],
             normal=normal[i], second_fundamental=a[i], shape_operator=shape_op[i],
             mean_curvature=hs[i], traceless_shape=traceless[i],
             traceless_lowered=traceless_low[i], traceless_norm2=phis[i],
-            scalar_curvature=n * (n - 1) * (c + hs[i]**2) - phis[i],
-            first_partials=d1[i], second_partials=d2[i])
+            scalar_curvature=n * (n - 1) * (c + hs[i]**2) - phis[i])
         for i in range(count)]
     for i in np.flatnonzero(bad).tolist():
         out[i] = shape_data_at(chart, u[i])
@@ -733,13 +725,12 @@ def intrinsic_gauss_n2(chart: ImmersionChart, u, h: float = DEFAULT_FD_STEP) -> 
 # --------------------------------------------------------------------------
 
 def sample_points(chart: ImmersionChart, per_axis, *,
-                  margin_frac: float = 0.12,
                   max_points: int | None = None) -> Iterator[np.ndarray]:
     """Deterministic grid over the chart domain.
 
     ``per_axis`` is one resolution for every axis or a sequence of per-axis
     resolutions.  Periodic axes sample one full period, half-open; bounded
-    axes shrink by ``margin_frac`` of their span on each side, which keeps
+    axes shrink by ``_MARGIN_FRAC`` of their span on each side, which keeps
     FD stencils interior and away from the ill-conditioned metric near the
     polar ends of angle coordinates.  With ``max_points`` set, the full
     product grid is strided down to at most that many points.
@@ -759,7 +750,7 @@ def sample_points(chart: ImmersionChart, per_axis, *,
         elif k == 1:
             axes.append(np.array([0.5 * (iv.lo + iv.hi)]))
         else:
-            m = margin_frac * iv.span
+            m = _MARGIN_FRAC * iv.span
             axes.append(np.linspace(iv.lo + m, iv.hi - m, k))
     total = math.prod(counts)
     stride = 1

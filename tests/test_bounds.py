@@ -214,6 +214,10 @@ def test_classify_agrees_with_closed_form_predictions():
         assert classify(model).branch == inv.branch_prediction, model
 
 
+def _alpha(model, inv):
+    return gap_threshold(BoundContext(n=model.space.n, c=model.space.c, H=inv.abs_H))
+
+
 def test_sphere_product_monotone_consistency():
     # equality exactly on r^2 <= (n-1)/n, strict beyond
     for n in (3, 4):
@@ -221,12 +225,12 @@ def test_sphere_product_monotone_consistency():
         for r2 in (0.3, 0.5, boundary - 0.05, boundary):
             model = SphereProduct(n, math.sqrt(r2))
             inv = closed_form_invariants(model)
-            assert inv.phi_norm == pytest.approx(inv.alpha_H, abs=1e-12), (n, r2)
+            assert inv.phi_norm == pytest.approx(_alpha(model, inv), abs=1e-12), (n, r2)
             assert classify(model).branch == "equality"
         for r2 in (boundary + 0.05, 0.81, 0.9):
             model = SphereProduct(n, math.sqrt(r2))
             inv = closed_form_invariants(model)
-            assert inv.phi_norm > inv.alpha_H + 1e-3, (n, r2)
+            assert inv.phi_norm > _alpha(model, inv) + 1e-3, (n, r2)
             assert classify(model).branch == "strict"
 
 
@@ -234,9 +238,9 @@ def test_classify_tolerance_band_is_safe():
     # families stay at least 1e-3 away from the threshold unless exactly on it
     for model in default_model_grid():
         inv = closed_form_invariants(model)
-        if inv.alpha_H is None or inv.branch_prediction == "umbilical":
+        if inv.branch_prediction in (None, "umbilical"):
             continue
-        gap = abs(inv.phi_norm - inv.alpha_H)
+        gap = abs(inv.phi_norm - _alpha(model, inv))
         assert gap <= 1e-9 or gap > 1e-3, model
 
 

@@ -1,10 +1,15 @@
+import ast
+import dataclasses
 import math
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cmcgeo.catalog as cat
-from cmcgeo.errors import InvalidParameters, OutOfRange, ParseError
+from cmcgeo.bounds import BoundContext, gap_threshold
+from cmcgeo.errors import InvalidParameters, NonElliptic, OutOfRange, ParseError
 from cmcgeo.geometry import sample_points, shape_data_at
 from cmcgeo.spaceform import validate_point
 
@@ -211,46 +216,56 @@ def test_unduloid_negative_H_matches_numerics_in_absolute_value():
 # closed-form invariants
 # ---------------------------------------------------------------------------
 
+def _alpha(model, inv):
+    return gap_threshold(BoundContext(n=model.space.n, c=model.space.c, H=inv.abs_H))
+
+
 def test_euclidean_product_invariants():
-    inv = cat.closed_form_invariants(cat.EuclideanProduct(3, 2, 1.0))
+    model = cat.EuclideanProduct(3, 2, 1.0)
+    inv = cat.closed_form_invariants(model)
     assert inv.abs_H == pytest.approx(2.0 / 3.0)
     assert inv.phi_norm == pytest.approx(math.sqrt(2.0 / 3.0))
-    assert inv.alpha_H == pytest.approx(math.sqrt(2.0 / 3.0))
+    assert _alpha(model, inv) == pytest.approx(math.sqrt(2.0 / 3.0))
     assert inv.branch_prediction == "equality"
-    inv1 = cat.closed_form_invariants(cat.EuclideanProduct(3, 1, 1.0))
+    model1 = cat.EuclideanProduct(3, 1, 1.0)
+    inv1 = cat.closed_form_invariants(model1)
     assert inv1.abs_H == pytest.approx(1.0 / 3.0)
     assert inv1.phi_norm == pytest.approx(math.sqrt(6.0) / 3.0)
-    assert inv1.alpha_H == pytest.approx(1.0 / math.sqrt(6.0))
-    assert inv1.phi_norm > inv1.alpha_H
+    assert _alpha(model1, inv1) == pytest.approx(1.0 / math.sqrt(6.0))
+    assert inv1.phi_norm > _alpha(model1, inv1)
     assert inv1.branch_prediction == "strict"
     # |Phi| = sqrt(n(n-1)) |H| for the k=1 flat products
     assert inv1.phi_norm == pytest.approx(math.sqrt(6.0) * inv1.abs_H, abs=1e-14)
 
 
 def test_sphere_product_invariants():
-    inv = cat.closed_form_invariants(cat.SphereProduct(3, 1.0 / math.sqrt(3.0)))
+    model = cat.SphereProduct(3, 1.0 / math.sqrt(3.0))
+    inv = cat.closed_form_invariants(model)
     assert inv.H_signed == pytest.approx(-1.0 / math.sqrt(2.0))
     assert inv.phi_norm == pytest.approx(math.sqrt(3.0))
-    assert inv.alpha_H == pytest.approx(math.sqrt(3.0))
+    assert _alpha(model, inv) == pytest.approx(math.sqrt(3.0))
     assert inv.branch_prediction == "equality"
-    strict = cat.closed_form_invariants(cat.SphereProduct(3, 0.9))
+    strict_model = cat.SphereProduct(3, 0.9)
+    strict = cat.closed_form_invariants(strict_model)
     assert strict.branch_prediction == "strict"
-    assert strict.phi_norm > strict.alpha_H + 1e-3
+    assert strict.phi_norm > _alpha(strict_model, strict) + 1e-3
 
 
 def test_clifford_invariants():
-    inv = cat.closed_form_invariants(cat.CliffordTorus(3, 1))
+    model = cat.CliffordTorus(3, 1)
+    inv = cat.closed_form_invariants(model)
     assert inv.H_signed == 0.0
     assert inv.phi_norm == pytest.approx(math.sqrt(3.0))
-    assert inv.alpha_H == math.sqrt(3.0)
+    assert _alpha(model, inv) == math.sqrt(3.0)
     assert inv.branch_prediction == "equality"
 
 
 def test_hyperbolic_cylinder_invariants():
-    inv = cat.closed_form_invariants(cat.HyperbolicCylinder(3, 2, 1.0))
+    model = cat.HyperbolicCylinder(3, 2, 1.0)
+    inv = cat.closed_form_invariants(model)
     assert inv.abs_H == pytest.approx(5.0 / (3.0 * math.sqrt(2.0)))
     assert inv.phi_norm == pytest.approx(1.0 / math.sqrt(3.0))
-    assert inv.alpha_H == pytest.approx(1.0 / math.sqrt(3.0))
+    assert _alpha(model, inv) == pytest.approx(1.0 / math.sqrt(3.0))
     assert inv.branch_prediction == "equality"
     # equality-side display in terms of |H| for the large sphere factor
     n, h = 3, inv.abs_H
@@ -258,13 +273,14 @@ def test_hyperbolic_cylinder_invariants():
         math.sqrt(n * n * h * h - 4 * (n - 1)) - (n - 2) * h)
     assert inv.phi_norm == pytest.approx(disp, abs=1e-12)
 
-    k1 = cat.closed_form_invariants(cat.HyperbolicCylinder(3, 1, 0.5))
+    model1 = cat.HyperbolicCylinder(3, 1, 0.5)
+    k1 = cat.closed_form_invariants(model1)
     assert k1.branch_prediction == "strict"
     h1 = k1.abs_H
     disp1 = math.sqrt(3.0) / (2 * math.sqrt(2.0)) * (
         (3 - 2) * h1 + math.sqrt(9 * h1 * h1 - 8))
     assert k1.phi_norm == pytest.approx(disp1, abs=1e-12)
-    assert k1.phi_norm > k1.alpha_H
+    assert k1.phi_norm > _alpha(model1, k1)
 
 
 def test_hyperbolic_k1_ellipticity_window():
@@ -273,8 +289,11 @@ def test_hyperbolic_k1_ellipticity_window():
     r_crit = 1.0 / math.sqrt(n * (n - 2))
     assert cat.HyperbolicCylinder(n, 1, 0.9 * r_crit).mean_curvature_exceeds_one
     assert not cat.HyperbolicCylinder(n, 1, 1.1 * r_crit).mean_curvature_exceeds_one
-    sub = cat.closed_form_invariants(cat.HyperbolicCylinder(n, 1, 1.1 * r_crit))
-    assert sub.alpha_H is None and sub.branch_prediction is None
+    sub_model = cat.HyperbolicCylinder(n, 1, 1.1 * r_crit)
+    sub = cat.closed_form_invariants(sub_model)
+    assert sub.branch_prediction is None
+    with pytest.raises(NonElliptic):
+        _alpha(sub_model, sub)
 
 
 def test_umbilical_sphere_invariants():
@@ -283,6 +302,32 @@ def test_umbilical_sphere_invariants():
     assert inv.branch_prediction == "umbilical"
     hyp = cat.closed_form_invariants(cat.UmbilicalSphere(3, -1, 1.2))
     assert hyp.abs_H**2 - 1.0 == pytest.approx(1.0 / 1.44, abs=1e-12)
+
+
+def test_only_the_unduloid_has_a_gauss_infimum():
+    for model in cat.default_model_grid():
+        inv = cat.closed_form_invariants(model)
+        if isinstance(model, cat.Unduloid):
+            assert inv.inf_gauss == cat.unduloid_inf_gauss(model.H, model.B)
+        else:
+            assert inv.inf_gauss is None, model
+
+
+def test_closed_form_at_follows_the_unduloid_profile():
+    model = cat.Unduloid(-1.3, 0.6)
+    inv = cat.closed_form_invariants(model)
+    for s in (0.0, 0.7, 2.4):
+        phi, kappas = cat.closed_form_at(model, inv, np.array([s, 0.3]))
+        k = cat.unduloid_gauss_curvature(-1.3, 0.6, s)
+        assert phi == math.sqrt(2.0 * (1.3**2 - k))
+        assert np.array_equal(kappas, np.sort(cat.unduloid_principal_curvatures(-1.3, 0.6, s)))
+        sd = shape_data_at(cat.build_chart(model), [s, 0.3])
+        assert phi == pytest.approx(math.sqrt(sd.traceless_norm2), abs=1e-9)
+        assert np.allclose(kappas, np.sort(sd.principal_curvatures), atol=1e-9)
+    for model in (cat.SphereProduct(3, 0.55), cat.UmbilicalSphere(2, 0, 1.0)):
+        inv = cat.closed_form_invariants(model)
+        phi, kappas = cat.closed_form_at(model, inv, np.array([0.5] * model.space.n))
+        assert phi == inv.phi_norm and kappas is inv.kappas
 
 
 def test_numeric_matches_closed_forms_spot_checks():
@@ -336,19 +381,98 @@ def test_parse_round_trip():
         assert cat.parse_model(cat.model_to_text(model)) == model
 
 
-def test_parse_errors_name_token():
-    with pytest.raises(ParseError, match="nonsense"):
-        cat.parse_model("nonsense:a=1")
-    with pytest.raises(ParseError, match="radius"):
-        cat.parse_model("unduloid:H=1,radius=2")
-    with pytest.raises(ParseError, match="missing"):
-        cat.parse_model("unduloid:H=1")
-    with pytest.raises(ParseError, match="oops"):
-        cat.parse_model("unduloid:H=oops,B=0.5")
-    with pytest.raises(ParseError):
-        cat.parse_model("just-a-name")
-    with pytest.raises(ParseError, match="duplicate"):
-        cat.parse_model("unduloid:H=1,H=2,B=0.5")
+_FAMILY_TEXTS = [
+    (cat.EuclideanProduct(3, 1, 1), "euclidean-product:n=3,k=1,r=1.0"),
+    (cat.SphereProduct(3, 0.55), "sphere-product:n=3,r=0.55"),
+    (cat.CliffordTorus(5, 2), "clifford:n=5,k=2"),
+    (cat.HyperbolicCylinder(3, 1, 0.4), "hyperbolic-cylinder:n=3,k=1,r=0.4"),
+    (cat.Unduloid(-1, 0.75), "unduloid:H=-1.0,B=0.75"),
+    (cat.UmbilicalSphere(3, -1, 1.2), "umbilical-sphere:n=3,c=-1,r=1.2"),
+]
+
+
+def test_model_spec_lists_the_families_in_order():
+    assert typing.get_args(cat.ModelSpec) == (
+        cat.EuclideanProduct, cat.SphereProduct, cat.CliffordTorus,
+        cat.HyperbolicCylinder, cat.Unduloid, cat.UmbilicalSphere)
+    assert {type(m) for m, _ in _FAMILY_TEXTS} == set(typing.get_args(cat.ModelSpec))
+
+
+@pytest.mark.parametrize("model, text", _FAMILY_TEXTS)
+def test_canonical_text_round_trip_for_every_family(model, text):
+    # A float field given as an int is written as a float: r=1.0, H=-1.0.
+    assert cat.model_to_text(model) == text
+    parsed = cat.parse_model(text)
+    assert parsed == model
+    for f in dataclasses.fields(parsed):
+        assert type(getattr(parsed, f.name)).__name__ == f.type, f.name
+    assert cat.model_to_text(parsed) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("just-a-name", "expected 'family:params', got 'just-a-name'"),
+    ("nonsense:a=1", "unknown family 'nonsense'"),
+    ("nonsense:a", "unknown family 'nonsense'"),
+    ("unduloid:", "expected 'key=value', got ''"),
+    ("unduloid:H=1,B", "expected 'key=value', got 'B'"),
+    ("unduloid:H=1, =2", "expected 'key=value', got ' =2'"),
+    ("unduloid:H=1,radius=2", "unknown parameter 'radius' for family 'unduloid'"),
+    ("unduloid:radius=2,H", "unknown parameter 'radius' for family 'unduloid'"),
+    ("unduloid:H=1,H=2,B=0.5", "duplicate parameter 'H'"),
+    ("unduloid:H=1,H=oops", "duplicate parameter 'H'"),
+    ("unduloid:H=oops,B=0.5", "could not parse value 'oops' for 'H'"),
+    ("unduloid:H=oops,H=1", "could not parse value 'oops' for 'H'"),
+    ("unduloid:H= 1x ,B=0.5", "could not parse value '1x' for 'H'"),
+    ("clifford:n=3.0,k=1", "could not parse value '3.0' for 'n'"),
+    ("unduloid:H=1", "missing parameter(s) ['B'] for family 'unduloid'"),
+    ("euclidean-product:r=1", "missing parameter(s) ['k', 'n'] for family 'euclidean-product'"),
+])
+def test_parse_errors_name_token(text, message):
+    # Each message verbatim.  Where one input breaks two rules, the message
+    # shows which rule is checked first.
+    with pytest.raises(ParseError) as info:
+        cat.parse_model(text)
+    assert str(info.value) == message
+
+
+def test_parse_checks_grammar_before_ranges_and_tolerates_spaces():
+    with pytest.raises(InvalidParameters, match=r"^B must lie in \(0,1\)$"):
+        cat.parse_model("unduloid:H=1,B=2")
+    with pytest.raises(InvalidParameters, match=r"^k must lie in \[1, n-1\]$"):
+        cat.parse_model("clifford:n=3,k=3")
+    assert cat.parse_model(" unduloid : H = 1 , B=0.5 ") == cat.Unduloid(1.0, 0.5)
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Last component of every module and name that ``path`` imports,
+    at any depth (a lazy import inside a function counts)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rsplit(".", 1)[-1])
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return names
+
+
+def _isinstance_targets(path: Path) -> set[str]:
+    """Every name tested in an ``isinstance`` call of ``path``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            for sub in ast.walk(node.args[1]):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    found.add(sub.id if isinstance(sub, ast.Name) else sub.attr)
+    return found
+
+
+def test_family_knowledge_stays_in_catalog():
+    package = Path(cat.__file__).parent
+    assert not _imported_names(package / "catalog.py") & {"bounds", "cli"}
+    families = {cls.__name__ for cls in typing.get_args(cat.ModelSpec)}
+    for module in ("bounds.py", "cli.py"):
+        assert not _isinstance_targets(package / module) & families, module
 
 
 def test_invalid_parameters():

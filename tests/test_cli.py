@@ -100,6 +100,24 @@ def test_verify_surface_models_in_curved_ambients(capsys):
         assert summary["checks"]["gauss_upper_bound_violation"] <= 1e-6
 
 
+def test_verify_computes_closed_forms_once_and_reads_positions_from_shape_data(
+        capsys, monkeypatch):
+    from cmcgeo import catalog, geometry
+    calls = []
+    real = catalog.closed_form_invariants
+    monkeypatch.setattr(catalog, "closed_form_invariants",
+                        lambda model: calls.append(model) or real(model))
+
+    def no_position(chart, u):
+        raise AssertionError("verify evaluated the chart again for a position")
+
+    monkeypatch.setattr(geometry.ImmersionChart, "position", no_position)
+    for spec in ("umbilical-sphere:n=2,c=1,r=0.6", "unduloid:H=1,B=0.5"):
+        code, out, _ = run(capsys, "verify", spec, "--grid", "4")
+        assert code == 0, out
+    assert len(calls) == 2  # one per run, however many grid points
+
+
 def test_verify_tight_tolerance_breaches(capsys):
     code, out, _ = run(capsys, "verify", "euclidean-product:n=3,k=2,r=1",
                        "--grid", "4", "--tol", "1e-12")

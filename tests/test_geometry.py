@@ -110,9 +110,11 @@ def test_normal_is_form_orthogonal_and_unit():
     u = np.array([0.4, 1.2, 0.9])
     sd = shape_data_at(chart, u)
     space = chart.space
+    tangents = np.array([j.grad for j in chart.jets(u)])
     for i in range(3):
-        assert abs(bilinear_form(space, sd.normal, sd.first_partials[:, i])) <= 1e-12
+        assert abs(bilinear_form(space, sd.normal, tangents[:, i])) <= 1e-12
     pos = chart.position(u)
+    assert np.array_equal(sd.position, pos)
     assert abs(bilinear_form(space, sd.normal, pos)) <= 1e-12
     assert bilinear_form(space, sd.normal, sd.normal) == pytest.approx(1.0, abs=1e-12)
 
@@ -170,19 +172,36 @@ def test_scalar_double_contraction_matches_gauss_equation():
         assert scalar_from_curvature(sd) == pytest.approx(sd.scalar_curvature, abs=1e-8)
 
 
+def _swapped_chart(chart, i, j):
+    """The chart with coordinates i and j exchanged, which reverses the
+    orientation of its determinant-rule normal."""
+    perm = list(range(chart.dim))
+    perm[i], perm[j] = j, i
+
+    def ev(v):
+        return [Jet2(jet.value, jet.grad[perm], jet.hess[perm][:, perm])
+                for jet in chart.eval_jets(v[perm])]
+
+    domain = tuple(chart.domain[k] for k in perm)
+    return dataclasses.replace(chart, domain=domain, eval_jets=ev), perm
+
+
 def test_orientation_flip_invariance():
     chart = build_chart(HyperbolicCylinder(3, 2, 1.0))
     u = np.array([0.4, 1.2, 0.9])
-    plus = shape_data_at(chart, u, mean_convex=False, flip=False)
-    minus = shape_data_at(chart, u, mean_convex=False, flip=True)
-    assert minus.mean_curvature == pytest.approx(-plus.mean_curvature, abs=1e-12)
-    assert np.allclose(np.sort(-minus.principal_curvatures),
+    swapped, perm = _swapped_chart(chart, 1, 2)
+    plus = shape_data_at(chart, u)
+    minus = shape_data_at(swapped, u[perm])
+    assert np.array_equal(minus.position, plus.position)
+    assert np.allclose(minus.normal, plus.normal, atol=1e-12)  # turned back to H >= 0
+    assert minus.mean_curvature == pytest.approx(plus.mean_curvature, abs=1e-12)
+    assert np.allclose(np.sort(minus.principal_curvatures),
                        np.sort(plus.principal_curvatures), atol=1e-10)
     assert minus.traceless_norm2 == pytest.approx(plus.traceless_norm2, abs=1e-10)
     assert minus.scalar_curvature == pytest.approx(plus.scalar_curvature, abs=1e-10)
     x = np.array([0.2, -0.7, 1.1])
     y = np.array([0.5, 0.3, -0.4])
-    assert ricci(sd=minus, x=x, y=y) == pytest.approx(ricci(plus, x, y), abs=1e-10)
+    assert ricci(minus, x[perm], y[perm]) == pytest.approx(ricci(plus, x, y), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ModelSpec, closed_form_invariants
+from .catalog import ClosedFormInvariants, ModelSpec, closed_form_invariants
 from .errors import NonElliptic, NotTraceFree
 
 __all__ = [
@@ -178,15 +178,18 @@ class ClassificationVerdict:
 _TOL_CLASS = 1e-7  # sup |Phi| this close to 0 is umbilical, this close to alpha_H equality
 
 
-def classify(model: ModelSpec) -> ClassificationVerdict:
+def classify(model: ModelSpec,
+             inv: ClosedFormInvariants | None = None) -> ClassificationVerdict:
     """Decide which branch of the trichotomy a catalog model realizes.
 
     sup |Phi| is the closed-form ``phi_norm`` of every family: the constant
     |Phi|, or for the unduloid its value where the Gauss curvature is least.
     The supremum is always attained, since |Phi| is either constant or
-    periodic with a compact fundamental domain.
+    periodic with a compact fundamental domain.  ``inv`` is
+    ``closed_form_invariants(model)``, computed here when not given.
     """
-    inv = closed_form_invariants(model)
+    if inv is None:
+        inv = closed_form_invariants(model)
     space = model.space
     n, c = space.n, space.c
     ctx = BoundContext(n=n, c=c, H=inv.abs_H)

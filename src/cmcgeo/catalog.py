@@ -10,15 +10,15 @@ test.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
 from .errors import InvalidParameters, OutOfRange, ParseError
 from .geometry import ImmersionChart, Interval
+# Not called here; kept because perfbench/tracing.py patches it by name here.
 from .numeric import Jet2, adaptive_quadrature
 from .spaceform import AmbientSpace
 
@@ -49,8 +49,6 @@ __all__ = [
 ]
 
 _POLAR_MARGIN = 1e-3
-_DEFAULT_X_TOL = 1e-10
-_KNOTS = 64  # knots per period in the unduloid axial-coordinate table
 
 
 # --------------------------------------------------------------------------
@@ -60,9 +58,16 @@ _KNOTS = 64  # knots per period in the unduloid axial-coordinate table
 class _Family:
     """Base of the model classes.  A family's parameters are its dataclass
     fields, each declared ``int`` or ``float``: the parser and the canonical
-    text read them from there, in declaration order."""
+    text read them from there, in declaration order.  Every ``float`` field
+    must be finite; ``_check`` then validates the family's ranges."""
 
     family: ClassVar[str]
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InvalidParameters(f"{f.name} must be finite")
+        self._check()  # each family's range checks
 
     def params_text(self) -> str:
         return ",".join(
@@ -80,7 +85,7 @@ class EuclideanProduct(_Family):
 
     family = "euclidean-product"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.n < 2:
             raise InvalidParameters("n must be >= 2")
         if not 1 <= self.k <= self.n - 1:
@@ -102,7 +107,7 @@ class SphereProduct(_Family):
 
     family = "sphere-product"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.n < 2:
             raise InvalidParameters("n must be >= 2")
         if not 0 < self.r < 1:
@@ -122,7 +127,7 @@ class CliffordTorus(_Family):
 
     family = "clifford"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.n < 2:
             raise InvalidParameters("n must be >= 2")
         if not 1 <= self.k <= self.n - 1:
@@ -143,7 +148,7 @@ class HyperbolicCylinder(_Family):
 
     family = "hyperbolic-cylinder"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.n < 2:
             raise InvalidParameters("n must be >= 2")
         if self.k not in (1, self.n - 1):
@@ -172,7 +177,7 @@ class Unduloid(_Family):
 
     family = "unduloid"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.H == 0:
             raise InvalidParameters("H must be nonzero")
         if not 0 < self.B < 1:
@@ -195,7 +200,7 @@ class UmbilicalSphere(_Family):
 
     family = "umbilical-sphere"
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.n < 2:
             raise InvalidParameters("n must be >= 2")
         if self.c not in (-1, 0, 1):
@@ -346,18 +351,17 @@ def _umbilical_sphere_chart(m: UmbilicalSphere) -> ImmersionChart:
 def _unduloid_chart(m: Unduloid) -> ImmersionChart:
     h, b = m.H, m.B
     abs_h = abs(h)
-    knot_tables: dict[int, list[float]] = {}  # filled on first evaluation
+    x_of = _unduloid_x(h, b)
 
     def x_parts(s: float) -> tuple[float, float, float]:
-        return (_unduloid_x(h, b, s, _DEFAULT_X_TOL, knot_tables),
-                _unduloid_x_prime(h, b, s), _unduloid_x_second(h, b, s))
+        return x_of(s), _unduloid_x_prime(h, b, s), _unduloid_x_second(h, b, s)
 
     def ev(u: np.ndarray) -> list[Jet2]:
         s, theta = u[0], u[1]
         if u.ndim == 1:
             x, xp, xpp = x_parts(float(s))
             zero = 0.0
-        else:  # one knot-table integral per point
+        else:  # one closed-form x per point
             x, xp, xpp = np.array([x_parts(t) for t in s.tolist()]).T
             zero = np.zeros_like(x)
         xj = Jet2(x, np.array([xp, zero]), np.array([[xpp, zero], [zero, zero]]))
@@ -390,62 +394,66 @@ def _unduloid_x_second(h: float, b: float, s: float) -> float:
     return 2.0 * h * b * cs * (b + sn) * b / q**1.5
 
 
-def _unduloid_x(h: float, b: float, s: float, tol: float,
-                tables: dict[int, list[float]]) -> float:
-    """x(s) to ``tol`` from one period's knot table and one short integral.
+def _carlson_rf_rd(x: float, y: float, z: float, steps: int) -> tuple[float, float]:
+    """Carlson's R_F(x, y, z) and R_D(x, y, z), for x, y >= 0 and z > 0, from
+    ``steps`` shared duplication steps and the fifth-order series of DLMF
+    19.36.1-2 (Carlson, Numer. Algorithms 10, 1995)."""
+    tail, scale = 0.0, 1.0
+    for _ in range(steps):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        tail += scale / (sz * (z + lam))
+        scale *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    a = (x + y + z) / 3.0
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+    a = (x + y + 3.0 * z) / 5.0
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    dz = -(dx + dy) / 3.0
+    xy, z2 = dx * dy, dz * dz
+    e2, e3 = xy - 6.0 * z2, (3.0 * xy - 8.0 * z2) * dz
+    e4, e5 = 3.0 * (xy - z2) * z2, xy * z2 * dz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, 3.0 * tail + scale * series / (a * math.sqrt(a))
 
-    With T = pi/|H| and k = floor(s/T), x(s) = k x(T) + x(t_j) + the
-    integral of x' from t_j to r = s - kT, where t_j is the knot nearest r.
-    Half of ``tol`` goes to that integral, over at most T/(2 _KNOTS); the
-    other half to the |k| + 1 table values the sum uses.  ``tables`` maps a
-    reach R (a power of two >= |k|) to x at the knots to tol / (2(R + 1))
-    and is filled on first use.
+
+def _unduloid_x(h: float, b: float) -> Callable[[float], float]:
+    """The axial coordinate s -> x(s), x(0) = 0, in closed form.
+
+    With m = 4B/(1+B)^2, chi = pi/4 - Hs and D = sqrt(1 - m sin^2 chi),
+    x' = ((1+B) D + (1-B)/D) / 2, so x(s) = (G(pi/4) - G(chi)) / (2H) for
+    G = (1+B) E(.|m) + (1-B) F(.|m).  G(phi + j pi) = G(phi) + 2j G(pi/2),
+    and for |phi| <= pi/2, G(phi) = sin phi (2 R_F - 4B/(3(1+B)) sin^2 phi R_D)
+    at (cos^2 phi, D^2, 1) (DLMF 19.25.5, 19.25.7).  D^2 is formed as
+    ((1-B)^2 + 4B cos^2 phi) / (1+B)^2, which stays accurate as B -> 1.
     """
-    if not math.isfinite(s):
-        raise InvalidParameters("s must be finite")
-    period = math.pi / abs(h)
-    step = period / _KNOTS  # exact (_KNOTS is a power of two): the last knot is T
-    k = math.floor(s / period)
-    reach = 1 << (max(abs(k), 1) - 1).bit_length()
-    f = lambda t: _unduloid_x_prime(h, b, t)
-    knot_x = tables.get(reach)
-    if knot_x is None:  # plain floats: numpy's sort would add ~0.5 MB of code pages
-        gap_tol = tol / (2.0 * (reach + 1) * _KNOTS)
-        knot_x = tables[reach] = list(itertools.accumulate(
-            (adaptive_quadrature(f, i * step, (i + 1) * step, gap_tol) for i in range(_KNOTS)),
-            initial=0.0))
-    r = s - k * period
-    j = min(max(round(r / step), 0), _KNOTS)
-    a = j * step
-    if r >= a:
-        gap = adaptive_quadrature(f, a, r, 0.5 * tol)
-    else:
-        gap = -adaptive_quadrature(f, r, a, 0.5 * tol)
-    return k * knot_x[-1] + knot_x[j] + gap
+    m = 4.0 * b / (1.0 + b) ** 2
+    m1 = ((1.0 - b) / (1.0 + b)) ** 2  # 1 - m
+    w = 4.0 * b / (3.0 * (1.0 + b))
+    # 7 duplications reach rounding level while ln(1/m1) <= 16 (B <= 0.999). At the
+    # slowest arguments, (0, m1, 1), each step first halves ln(1/y): one more per doubling.
+    steps = 7 + math.ceil(math.log2(max(-math.log(m1), 16.0) / 16.0))
 
+    def g(phi: float) -> float:
+        sn, cs2 = math.sin(phi), math.cos(phi) ** 2
+        rf, rd = _carlson_rf_rd(cs2, m1 + m * cs2, 1.0, steps)
+        return sn * (2.0 * rf - w * sn * sn * rd)
 
-def _unduloid_x_table(h: float, b: float, s: np.ndarray, tol: float) -> np.ndarray:
-    """x at every abscissa of ``s`` from one sweep: the distinct abscissae
-    and 0, sorted, every gap longer than the knot spacing T/_KNOTS split at
-    the knots inside it, each gap integrated at tolerance tol * gap / span.
-    The shares add up to ``tol``, so every x(s) keeps the scalar bound."""
-    if not np.all(np.isfinite(s)):
-        raise InvalidParameters("s must be finite")
-    points = np.append(s, 0.0)
-    knots, where = np.unique(points, return_inverse=True)
-    step = math.pi / abs(h) / _KNOTS
-    long = np.flatnonzero(np.diff(knots) > step).tolist()
-    if long:  # a long gap would let Simpson's first samples alias the period
-        points = np.append(points, [j * step for i in long for j in range(
-            math.floor(knots[i] / step) + 1, math.ceil(knots[i + 1] / step))])
-        knots, where = np.unique(points, return_inverse=True)
-    lo, hi = knots[:-1].tolist(), knots[1:].tolist()  # Python floats: faster Simpson loop
-    span = float(knots[-1] - knots[0])
-    f = lambda t: _unduloid_x_prime(h, b, t)
-    gaps = [adaptive_quadrature(f, a, c, tol * (c - a) / span) for a, c in zip(lo, hi)]
-    x = np.concatenate(([0.0], np.cumsum(gaps)))
-    x -= x[where[s.size]]  # re-zero at s = 0
-    return x[where[:s.size]].reshape(s.shape)
+    g_start, g_half = g(math.pi / 4.0), g(math.pi / 2.0)
+
+    def x(s: float) -> float:
+        if not math.isfinite(s):
+            raise InvalidParameters("s must be finite")
+        chi = math.pi / 4.0 - h * s
+        j = round(chi / math.pi)
+        # + 0.0: x(0) for H < 0 is -0.0 otherwise
+        return (g_start - g(chi - j * math.pi) - 2 * j * g_half) / (2.0 * h) + 0.0
+
+    return x
 
 
 @dataclass(frozen=True)
@@ -459,29 +467,20 @@ class UnduloidProfile:
     y_second: float
 
 
-def unduloid_profile(H: float, B: float, s,
-                     tol: float = _DEFAULT_X_TOL) -> UnduloidProfile:
-    """Profile curve data at arclength s: the axial coordinate by adaptive
-    quadrature to ``tol``, the radius and its derivatives in closed form.
+def unduloid_profile(H: float, B: float, s) -> UnduloidProfile:
+    """Profile curve data at arclength s, all in closed form: the axial
+    coordinate by the chart's elliptic-integral x(s), the rest by numpy.
 
-    ``s`` is a number or an array; the closed forms are evaluated by numpy
-    for either.  For a number the axial coordinate comes from one period's
-    knot table and one short integral, as on the chart.  For an array every
-    field is an array of the same shape, and the axial coordinate of all
-    abscissae comes from one quadrature sweep over the sorted abscissae,
-    split at the knots where they lie further apart.
+    ``s`` is a number or an array; for an array every field is an array of
+    the same shape.
     """
-    if H == 0:
-        raise InvalidParameters("H must be nonzero")
-    if not 0 < B < 1:
-        raise InvalidParameters("B must lie in (0,1)")
-    if tol <= 0:
-        raise InvalidParameters("tol must be positive")
+    Unduloid(H, B)  # rejects H = 0, B outside (0,1) and non-finite values
+    x_of = _unduloid_x(H, B)
     s_arr = np.asarray(s, dtype=float)
-    if s_arr.ndim:  # first: both reject a non-finite s
-        x = _unduloid_x_table(H, B, s_arr, tol)
+    if s_arr.ndim:  # first: x_of rejects a non-finite s
+        x = np.array([x_of(t) for t in s_arr.ravel().tolist()]).reshape(s_arr.shape)
     else:
-        x = _unduloid_x(H, B, float(s_arr), tol, {})
+        x = x_of(float(s_arr))
     sn, cs = np.sin(2.0 * H * s_arr), np.cos(2.0 * H * s_arr)
     q = 1.0 + B * B + 2.0 * B * sn
     root_q = np.sqrt(q)
@@ -537,15 +536,14 @@ def unduloid_principal_curvatures(H: float, B: float, s: float) -> tuple[float, 
 
 
 def solve_B_for_inf_gauss(H: float, eps: float) -> float:
-    """The B in (0,1) with inf K = -eps: root of eps B^2 - (2 eps + 4 H^2) B
-    + eps = 0 on the unit interval."""
+    """The B in (0,1) with inf K = -eps: root of eps B^2 - (2 eps + 4 H^2) B + eps,
+    as eps over the other root's numerator (the roots multiply to 1)."""
     if H == 0:
         raise InvalidParameters("H must be nonzero")
-    if eps <= 0:
-        raise InvalidParameters("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidParameters("eps must be positive and finite")
     h2 = H * H
-    b = (eps + 2.0 * h2 - 2.0 * math.sqrt(h2 * h2 + eps * h2)) / eps
-    return b
+    return eps / (eps + 2.0 * h2 + 2.0 * abs(H) * math.sqrt(h2 + eps))
 
 
 # --------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def _model_record(model, *, residual_axis: int, residual_cap: int,
     space = model.space
     n, c = space.n, space.c
     try:
-        verdict = bounds.classify(model)
+        verdict = bounds.classify(model, inv)
         branch = verdict.branch
         alpha = verdict.gap_threshold
         sbound = verdict.scalar_bound
@@ -212,7 +212,7 @@ def _cmd_verify(args) -> int:
                 float(kint - (sd.mean_curvature**2 + c)))
 
     try:
-        branch = bounds.classify(model).branch
+        branch = bounds.classify(model, inv).branch
     except NonElliptic:
         branch = "non-elliptic"
     worst = max(checks.values())

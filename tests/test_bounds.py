@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,13 @@ def test_classify_umbilical_sphere():
     v = classify(UmbilicalSphere(3, 0, 2.0))
     assert v.branch == "umbilical"
     assert v.inf_scalar == pytest.approx(6.0 / 4.0, abs=1e-12)
+
+
+def test_classify_reads_the_given_invariants():
+    model = EuclideanProduct(3, 2, 1.0)
+    inv = closed_form_invariants(model)
+    assert classify(model, inv) == classify(model)
+    assert classify(model, dataclasses.replace(inv, phi_norm=0.0)).branch == "umbilical"
 
 
 def test_classify_hyperbolic_sides():

@@ -66,7 +66,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 def _reference_x(h, b, s):
     """x(s) by composite 20-point Gauss-Legendre on panels of at most T/256,
-    independent of the adaptive Simpson code under test.  The complex
+    independent of the elliptic-integral closed form under test.  The complex
     singularities of x' lie |log B| / (2|H|) off the real axis, so even at
     B=0.98 each panel converges far below 1e-13."""
     panels = max(1, math.ceil(abs(s) * abs(h) * 256 / math.pi))
@@ -84,19 +84,19 @@ def test_unduloid_x_within_tolerance_of_reference_over_five_periods(h, b):
     chart = cat.build_chart(cat.Unduloid(h, b))
     for s in np.linspace(-2.0 * period, 3.0 * period, 41).tolist():
         ref = _reference_x(h, b, s)
-        assert abs(chart.position(np.array([s, 0.4]))[0] - ref) <= 1e-10, s
-        assert abs(cat.unduloid_profile(h, b, s).x - ref) <= 1e-10, s
+        assert abs(chart.position(np.array([s, 0.4]))[0] - ref) <= 1e-12, s
+        assert abs(cat.unduloid_profile(h, b, s).x - ref) <= 1e-12, s
 
 
 @pytest.mark.parametrize("h, b, s", [(1.0, 0.98, 2.0 * math.pi),
                                      (-0.8, 0.98, 2.5 * math.pi),
                                      (-0.8, 0.98, -2.5 * math.pi)])
 def test_unduloid_x_over_two_whole_periods(h, b, s):
-    # One Simpson panel over two whole periods samples x' at the same phase
-    # five times and misses these integrals by about 0.3.
+    # Spans of whole periods: a rule that samples x' at one phase of the
+    # period misses these integrals by about 0.3.
     ref = _reference_x(h, b, s)
-    assert abs(cat.unduloid_profile(h, b, s).x - ref) <= 1e-10
-    assert abs(cat.unduloid_profile(h, b, np.array([s])).x[0] - ref) <= 1e-10
+    assert abs(cat.unduloid_profile(h, b, s).x - ref) <= 1e-12
+    assert abs(cat.unduloid_profile(h, b, np.array([s])).x[0] - ref) <= 1e-12
 
 
 def test_unduloid_scalar_x_steps_by_one_period():
@@ -108,13 +108,39 @@ def test_unduloid_scalar_x_steps_by_one_period():
             assert abs(step - x_period) <= 1e-12, (h, b, s)
 
 
-def test_unduloid_knot_tables_grow_with_periods_not_abscissae():
-    tables = {}
-    period = math.pi
-    for s in np.linspace(-3.5 * period, 3.5 * period, 301).tolist():
-        cat._unduloid_x(1.0, 0.9, s, 1e-10, tables)
-    assert sorted(tables) == [1, 2, 4]
-    assert all(len(knot_x) == cat._KNOTS + 1 for knot_x in tables.values())
+@pytest.mark.parametrize("h", [1.3, -0.8])
+def test_unduloid_x_bit_equal_on_chart_batch_and_profile(h):
+    b = 0.9
+    s = np.linspace(-2.0 * math.pi, 3.0 * math.pi, 23)
+    chart = cat.build_chart(cat.Unduloid(h, b))
+    batched = chart.jets(np.stack([s, np.full_like(s, 0.4)]), batch=True)[0].value
+    table = cat.unduloid_profile(h, b, s).x
+    for i, si in enumerate(s.tolist()):
+        scalar = chart.position(np.array([si, 0.4]))[0]
+        assert scalar == batched[i] == table[i] == cat.unduloid_profile(h, b, si).x, si
+
+
+def _complete_e(k):
+    """Complete elliptic integral E(k) by the arithmetic-geometric mean,
+    independent of the Carlson forms under test."""
+    a, g, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    total, weight = 0.5 * c * c, 0.5
+    while c > 1e-15 * a:  # c shrinks quadratically; stopping here leaves ~c^2 error
+        a, g, c = 0.5 * (a + g), math.sqrt(a * g), 0.5 * (a - g)
+        weight *= 2.0
+        total += weight * c * c
+    return math.pi / (2.0 * a) * (1.0 - total)
+
+
+@pytest.mark.parametrize("b", [1e-20, 0.001, 0.5, 0.98, 0.999999, 1.0 - 1e-12,
+                               1.0 - 2.0**-53])
+def test_unduloid_x_over_one_period_is_twice_complete_e(b):
+    # Landen's transformation turns x(T) = ((1+B) E(m) + (1-B) K(m)) / |H|
+    # into 2 E(k=B) / |H|; this holds the closed form as B -> 1, where the
+    # Gauss-Legendre reference no longer converges.
+    for h in (1.0, -2.0):
+        x_period = cat.unduloid_profile(h, b, math.pi / abs(h)).x
+        assert x_period == pytest.approx(2.0 * _complete_e(b) / abs(h), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("h", [1.0, -1.0])
@@ -125,7 +151,7 @@ def test_unduloid_table_x_within_tolerance_of_reference(h, b):
     assert x[0] == 0.0
     assert np.all(np.diff(x) > 0.0)
     for si, xi in zip(s.tolist(), x.tolist()):
-        assert abs(xi - _reference_x(h, b, si)) <= 1e-10
+        assert abs(xi - _reference_x(h, b, si)) <= 1e-12
 
 
 def test_unduloid_table_unsorted_duplicate_negative_abscissae():
@@ -133,7 +159,7 @@ def test_unduloid_table_unsorted_duplicate_negative_abscissae():
     x = cat.unduloid_profile(1.0, 0.9, s).x
     assert x.shape == s.shape
     for si, xi in zip(s.tolist(), x.tolist()):
-        assert abs(xi - cat.unduloid_profile(1.0, 0.9, si).x) <= 2e-10
+        assert xi == cat.unduloid_profile(1.0, 0.9, si).x
     assert x[0] == x[3] and x[2] == x[6] and x[4] == 0.0
 
 
@@ -200,8 +226,11 @@ def test_solve_B_for_inf_gauss():
         b = cat.solve_B_for_inf_gauss(h, eps)
         assert 0.0 < b < 1.0
         assert cat.unduloid_inf_gauss(h, b) == pytest.approx(-eps, abs=1e-10 * max(1.0, eps))
-    # eps -> 0 forces B -> 0
-    assert cat.solve_B_for_inf_gauss(1.0, 1e-8) < 1e-8
+    # eps -> 0 forces B -> 0, with no cancellation on the way
+    for eps in (1e-6, 1e-9, 1e-12, 1e-20):
+        b = cat.solve_B_for_inf_gauss(1.0, eps)
+        assert 0.0 < b < eps
+        assert cat.unduloid_inf_gauss(1.0, b) == pytest.approx(-eps, rel=1e-12, abs=0.0)
     bs = [cat.solve_B_for_inf_gauss(1.0, e) for e in (0.1, 1.0, 10.0, 100.0)]
     assert all(b2 > b1 for b1, b2 in zip(bs, bs[1:]))
 
@@ -492,6 +521,25 @@ def test_invalid_parameters():
         cat.UmbilicalSphere(3, 1, 1.5)
     with pytest.raises(InvalidParameters):
         cat.CliffordTorus(3, 0)
+
+
+_FLOAT_FIELDS = [(cls, f.name) for cls in typing.get_args(cat.ModelSpec)
+                 for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                         ids=[f"{cls.family}-{name}" for cls, name in _FLOAT_FIELDS])
+def test_non_finite_float_parameter_rejected(cls, name, value):
+    valid = next(m for m in cat.default_model_grid() if isinstance(m, cls))
+    kwargs = {f.name: getattr(valid, f.name) for f in dataclasses.fields(cls)}
+    kwargs[name] = value
+    message = rf"^{name} must be finite$"
+    with pytest.raises(InvalidParameters, match=message):
+        cls(**kwargs)
+    text = f"{cls.family}:" + ",".join(f"{k}={v}" for k, v in kwargs.items())
+    with pytest.raises(InvalidParameters, match=message):
+        cat.parse_model(text)
 
 
 def test_default_grid_covers_all_families():

@@ -52,10 +52,34 @@ def test_model_below_ellipticity_threshold(capsys):
     assert rec["abs_H"] ** 2 < 1.0
 
 
+def test_model_and_verify_pass_their_invariants_to_classify(capsys, monkeypatch):
+    def unexpected(model):
+        raise AssertionError("classify recomputed the invariants")
+
+    monkeypatch.setattr("cmcgeo.bounds.closed_form_invariants", unexpected)
+    assert run(capsys, "model", "unduloid:H=1,B=0.5", "--grid", "2")[0] == 0
+    assert run(capsys, "verify", "clifford:n=3,k=1", "--grid", "4")[0] == 0
+
+
 def test_model_invalid_parameters_exit_3(capsys):
     code, _, err = run(capsys, "model", "unduloid:H=1,B=2")
     assert code == 3
     assert "B must lie in (0,1)" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("model", "unduloid:H=inf,B=0.5", "--grid", "1"), "H must be finite"),
+    (("model", "euclidean-product:n=3,k=1,r=inf"), "r must be finite"),
+    (("model", "umbilical-sphere:n=3,c=0,r=nan"), "r must be finite"),
+    (("unduloid", "--H", "inf", "--B", "0.5"), "H must be finite"),
+    (("unduloid", "--H", "nan", "--solve-eps", "8"), "H must be finite"),
+    (("unduloid", "--H", "1", "--solve-eps", "inf"), "eps must be positive and finite"),
+    (("unduloid", "--H", "1", "--solve-eps", "nan"), "eps must be positive and finite"),
+])
+def test_non_finite_parameters_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.strip().endswith(message) and "Traceback" not in err
 
 
 def test_model_parse_error_exit_2(capsys):
@@ -152,6 +176,15 @@ def test_unduloid_solve_eps(capsys):
     assert rec["inf_K"] == pytest.approx(-8.0, abs=1e-12)
     assert rec["alpha_H"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert len(rec["samples"]) == 8
+
+
+def test_unduloid_solve_tiny_eps(capsys):
+    code, out, _ = run(capsys, "unduloid", "--H", "1", "--solve-eps", "1e-20",
+                       "--samples", "4")
+    assert code == 0
+    rec = json.loads(out)
+    assert 0.0 < rec["B"] < 1e-20
+    assert rec["inf_K"] == pytest.approx(-1e-20, rel=1e-12, abs=0.0)
 
 
 def test_unduloid_csv_table(capsys):

@@ -394,13 +394,17 @@ def _unduloid_x_second(h: float, b: float, s: float) -> float:
     return 2.0 * h * b * cs * (b + sn) * b / q**1.5
 
 
-def _carlson_rf_rd(x: float, y: float, z: float, steps: int) -> tuple[float, float]:
+def _carlson_rf_rd(x, y, z, steps: int, sqrt=math.sqrt) -> tuple:
     """Carlson's R_F(x, y, z) and R_D(x, y, z), for x, y >= 0 and z > 0, from
     ``steps`` shared duplication steps and the fifth-order series of DLMF
-    19.36.1-2 (Carlson, Numer. Algorithms 10, 1995)."""
+    19.36.1-2 (Carlson, Numer. Algorithms 10, 1995).
+
+    The arithmetic serves numbers and arrays alike; pass ``sqrt=np.sqrt`` for
+    arrays.  Both square roots are correctly rounded, so an array gives each
+    entry's scalar result bit for bit."""
     tail, scale = 0.0, 1.0
     for _ in range(steps):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * (sy + sz) + sy * sz
         tail += scale / (sz * (z + lam))
         scale *= 0.25
@@ -409,7 +413,7 @@ def _carlson_rf_rd(x: float, y: float, z: float, steps: int) -> tuple[float, flo
     dx, dy = 1.0 - x / a, 1.0 - y / a
     dz = -(dx + dy)
     e2, e3 = dx * dy - dz * dz, dx * dy * dz
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(a)
     a = (x + y + 3.0 * z) / 5.0
     dx, dy = 1.0 - x / a, 1.0 - y / a
     dz = -(dx + dy) / 3.0
@@ -418,11 +422,12 @@ def _carlson_rf_rd(x: float, y: float, z: float, steps: int) -> tuple[float, flo
     e4, e5 = 3.0 * (xy - z2) * z2, xy * z2 * dz
     series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
               - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return rf, 3.0 * tail + scale * series / (a * math.sqrt(a))
+    return rf, 3.0 * tail + scale * series / (a * sqrt(a))
 
 
-def _unduloid_x(h: float, b: float) -> Callable[[float], float]:
-    """The axial coordinate s -> x(s), x(0) = 0, in closed form.
+def _unduloid_x(h: float, b: float) -> Callable:
+    """The axial coordinate s -> x(s), x(0) = 0, in closed form, at a number
+    s (a ``float``) or elementwise over a 1-D array of them.
 
     With m = 4B/(1+B)^2, chi = pi/4 - Hs and D = sqrt(1 - m sin^2 chi),
     x' = ((1+B) D + (1-B)/D) / 2, so x(s) = (G(pi/4) - G(chi)) / (2H) for
@@ -430,6 +435,10 @@ def _unduloid_x(h: float, b: float) -> Callable[[float], float]:
     and for |phi| <= pi/2, G(phi) = sin phi (2 R_F - 4B/(3(1+B)) sin^2 phi R_D)
     at (cos^2 phi, D^2, 1) (DLMF 19.25.5, 19.25.7).  D^2 is formed as
     ((1-B)^2 + 4B cos^2 phi) / (1+B)^2, which stays accurate as B -> 1.
+
+    An array takes one pass of the same arithmetic, with sin phi and
+    cos(phi) ** 2 per entry through ``math``, so each entry equals the
+    scalar result bit for bit.
     """
     m = 4.0 * b / (1.0 + b) ** 2
     m1 = ((1.0 - b) / (1.0 + b)) ** 2  # 1 - m
@@ -438,22 +447,48 @@ def _unduloid_x(h: float, b: float) -> Callable[[float], float]:
     # slowest arguments, (0, m1, 1), each step first halves ln(1/y): one more per doubling.
     steps = 7 + math.ceil(math.log2(max(-math.log(m1), 16.0) / 16.0))
 
-    def g(phi: float) -> float:
-        sn, cs2 = math.sin(phi), math.cos(phi) ** 2
-        rf, rd = _carlson_rf_rd(cs2, m1 + m * cs2, 1.0, steps)
+    def g(phi):
+        if isinstance(phi, float):
+            sn, cs2, sqrt = math.sin(phi), math.cos(phi) ** 2, math.sqrt
+        else:  # per entry through math, as for one point: c ** 2 and c * c can differ
+            phis = phi.tolist()
+            sn = np.array([math.sin(p) for p in phis])
+            cs2 = np.array([math.cos(p) ** 2 for p in phis])
+            sqrt = np.sqrt
+        rf, rd = _carlson_rf_rd(cs2, m1 + m * cs2, 1.0, steps, sqrt)
         return sn * (2.0 * rf - w * sn * sn * rd)
 
     g_start, g_half = g(math.pi / 4.0), g(math.pi / 2.0)
 
-    def x(s: float) -> float:
-        if not math.isfinite(s):
-            raise InvalidParameters("s must be finite")
-        chi = math.pi / 4.0 - h * s
-        j = round(chi / math.pi)
+    def x(s):
+        if isinstance(s, float):
+            if not math.isfinite(s):
+                raise InvalidParameters("s must be finite")
+            chi = math.pi / 4.0 - h * s
+            if not math.isfinite(chi):
+                raise InvalidParameters("H*s overflows")
+            j = round(chi / math.pi)
+        else:
+            if not np.isfinite(s).all():
+                raise InvalidParameters("s must be finite")
+            with np.errstate(over="ignore"):  # rejected on the next line
+                chi = math.pi / 4.0 - h * s
+            if not np.isfinite(chi).all():
+                raise InvalidParameters("H*s overflows")
+            j = np.round(chi / math.pi)  # half to even, as round does
         # + 0.0: x(0) for H < 0 is -0.0 otherwise
         return (g_start - g(chi - j * math.pi) - 2 * j * g_half) / (2.0 * h) + 0.0
 
     return x
+
+
+def _arclength(s) -> np.ndarray:
+    """s as a float array (0-d for a number), after InvalidParameters unless
+    every entry is finite."""
+    s_arr = np.asarray(s, dtype=float)
+    if not np.isfinite(s_arr).all():
+        raise InvalidParameters("s must be finite")
+    return s_arr
 
 
 @dataclass(frozen=True)
@@ -472,15 +507,12 @@ def unduloid_profile(H: float, B: float, s) -> UnduloidProfile:
     coordinate by the chart's elliptic-integral x(s), the rest by numpy.
 
     ``s`` is a number or an array; for an array every field is an array of
-    the same shape.
+    the same shape, its x from one array pass.
     """
     Unduloid(H, B)  # rejects H = 0, B outside (0,1) and non-finite values
-    x_of = _unduloid_x(H, B)
     s_arr = np.asarray(s, dtype=float)
-    if s_arr.ndim:  # first: x_of rejects a non-finite s
-        x = np.array([x_of(t) for t in s_arr.ravel().tolist()]).reshape(s_arr.shape)
-    else:
-        x = x_of(float(s_arr))
+    x_of = _unduloid_x(H, B)  # first: x_of rejects a non-finite s
+    x = x_of(s_arr.ravel()).reshape(s_arr.shape) if s_arr.ndim else x_of(float(s_arr))
     sn, cs = np.sin(2.0 * H * s_arr), np.cos(2.0 * H * s_arr)
     q = 1.0 + B * B + 2.0 * B * sn
     root_q = np.sqrt(q)
@@ -494,35 +526,42 @@ def unduloid_profile(H: float, B: float, s) -> UnduloidProfile:
     )
 
 
-def unduloid_gauss_curvature(H: float, B: float, s: float) -> float:
-    """Gauss curvature K(s) = -y''/y of the unduloid profile."""
-    if H == 0 or not 0 < B < 1:
-        raise InvalidParameters("need H != 0 and B in (0,1)")
-    sn = math.sin(2.0 * H * s)
-    q = _unduloid_q(H, B, s)
+def unduloid_gauss_curvature(H: float, B: float, s):
+    """Gauss curvature K(s) = -y''/y of the unduloid profile, at a number s
+    or elementwise over an array of them (sin(2Hs) per entry through
+    ``math``, so each entry equals the scalar result bit for bit)."""
+    Unduloid(H, B)
+    s_arr = _arclength(s)
+    if s_arr.ndim:
+        sn = np.array([math.sin(t) for t in (2.0 * H * s_arr).ravel().tolist()])
+        sn = sn.reshape(s_arr.shape)
+    else:
+        sn = math.sin(2.0 * H * float(s_arr))
+    q = 1.0 + B * B + 2.0 * B * sn  # (1-B)^2 + 2B(1 + sn), rounded
+    if np.any(q == 0.0):  # only for B within about 1e-8 of 1
+        raise InvalidParameters("B is too close to 1: 1 + B^2 + 2B sin(2Hs) rounds to 0")
     return 4.0 * H * H * B * (B + sn) * (1.0 + B * sn) / (q * q)
 
 
 def unduloid_inf_gauss(H: float, B: float) -> float:
     """Infimum of the Gauss curvature over the period: -4 H^2 B / (1-B)^2,
     attained where sin(2Hs) = -1."""
-    if H == 0 or not 0 < B < 1:
-        raise InvalidParameters("need H != 0 and B in (0,1)")
+    Unduloid(H, B)
     return -4.0 * H * H * B / (1.0 - B) ** 2
 
 
 def unduloid_sup_phi(H: float, B: float) -> float:
     """Supremum of |Phi| over the surface: sqrt(2)|H|(1+B)/(1-B)."""
-    if H == 0 or not 0 < B < 1:
-        raise InvalidParameters("need H != 0 and B in (0,1)")
+    Unduloid(H, B)
     return math.sqrt(2.0) * abs(H) * (1.0 + B) / (1.0 - B)
 
 
 def unduloid_principal_curvatures(H: float, B: float, s: float) -> tuple[float, float]:
-    """(meridian, parallel) principal curvatures at arclength s, oriented so
-    their mean is |H|.  Needs no axial integral, only profile derivatives."""
-    if H == 0 or not 0 < B < 1:
-        raise InvalidParameters("need H != 0 and B in (0,1)")
+    """(meridian, parallel) principal curvatures at arclength s (a number),
+    oriented so their mean is |H|.  Needs no axial integral, only profile
+    derivatives."""
+    Unduloid(H, B)
+    s = float(_arclength(s))
     q = _unduloid_q(H, B, s)
     sn, cs = math.sin(2.0 * H * s), math.cos(2.0 * H * s)
     abs_h = abs(H)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _jstr  # what json.dumps(str) returns
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .spaceform import bilinear_form
 
 _CSV_COLUMNS = ["family", "n", "c", "params", "abs_H", "phi_norm", "alpha_H",
                 "scalar_curvature", "scalar_bound", "branch", "inf_K"]
+
+_TABLE_COLUMNS = ("s", "x", "y", "y_prime", "y_second", "K", "phi_norm")
 
 _EXIT_OK = 0
 _EXIT_RESIDUAL = 1
@@ -70,6 +72,8 @@ def _residual(chart, u, h: float | None) -> float:
 # --------------------------------------------------------------------------
 
 def _jfmt(obj) -> str:
+    if type(obj) is float:  # the bulk of every record
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -80,9 +84,9 @@ def _jfmt(obj) -> str:
         x = float(obj)
         return format(x, ".17g") if math.isfinite(x) else "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _jstr(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_jfmt(v)}" for k, v in obj.items()) + "}"
+        return "{" + ", ".join(f"{_jstr(str(k))}: {_jfmt(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_jfmt(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -275,21 +279,17 @@ def _cmd_unduloid(args) -> int:
     h, b = model.H, model.B
     period = math.pi / abs(h)
     s_grid = np.linspace(0.0, period, args.samples, endpoint=False)
+    k = catalog.unduloid_gauss_curvature(h, b, s_grid)
+    phi2 = 2.0 * (h * h - k)
+    if (phi2 < 0.0).any():  # only for B within about 1e-8 of 1
+        raise InvalidParameters("B is too close to 1: K rounds above H^2")
     p = catalog.unduloid_profile(h, b, s_grid)
-    rows = []
-    for s, x, y, y_p, y_pp in zip(s_grid.tolist(), p.x.tolist(), p.y.tolist(),
-                                  p.y_prime.tolist(), p.y_second.tolist()):
-        k = catalog.unduloid_gauss_curvature(h, b, s)
-        rows.append({
-            "s": s, "x": x, "y": y, "y_prime": y_p, "y_second": y_pp, "K": k,
-            "phi_norm": math.sqrt(2.0 * (h * h - k)),
-        })
+    columns = [s_grid, p.x, p.y, p.y_prime, p.y_second, k, np.sqrt(phi2)]
+    values = list(zip(*(col.tolist() for col in columns)))
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["s", "x", "y", "y_prime", "y_second", "K", "phi_norm"])
-        for row in rows:
-            writer.writerow([format(row[key], ".17g") for key in
-                             ("s", "x", "y", "y_prime", "y_second", "K", "phi_norm")])
+        writer.writerow(_TABLE_COLUMNS)
+        writer.writerows([format(v, ".17g") for v in row] for row in values)
     else:
         _emit({
             "H": h,
@@ -298,7 +298,7 @@ def _cmd_unduloid(args) -> int:
             "inf_K": catalog.unduloid_inf_gauss(h, b),
             "sup_phi": catalog.unduloid_sup_phi(h, b),
             "alpha_H": math.sqrt(2.0) * abs(h),
-            "samples": rows,
+            "samples": [dict(zip(_TABLE_COLUMNS, row)) for row in values],
         })
     return _EXIT_OK
 

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,100 @@ def test_unduloid_table_rejects_non_finite_abscissae():
     for s in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameters):
             cat.unduloid_profile(1.0, 0.5, s)
+
+
+# Abscissae where an array pass that formed cos^2 as c * c, or through numpy's
+# cos and power, would change x in the last bit (found by a random search).
+_X_WITNESSES = {
+    (1.3, 0.9): [12.075451564574323, 11.782369567939611, 13.601646912884817,
+                 -4.97324828312137, -3.6607749345525242, 4.056779156440395],
+    (-0.8, 0.5): [-2.534413819039635, -3.6312213019183446, 16.357232635025696],
+    (2.0, 0.98): [-18.973055658545277, 0.17375403265201328, -11.2841944222853],
+    (1.0, 0.999999): [7.791772498680768, -1.0935925735013754, -4.173591651994343,
+                      -11.060152450272597, 2.6335863094005987, -6.0934213928065795,
+                      8.120105938709163, -9.728548236477064],
+}
+
+
+@pytest.mark.parametrize("h, b", sorted(_X_WITNESSES))
+def test_unduloid_array_x_bit_equal_to_scalar_at_witnesses(h, b):
+    x_of = cat._unduloid_x(h, b)
+    s = _X_WITNESSES[h, b]
+    assert x_of(np.array(s)).tolist() == [x_of(t) for t in s]
+
+
+@pytest.mark.parametrize("h", [1.0, -0.8, 1.3, 2.0, -1.25])
+def test_unduloid_array_x_and_gauss_bit_equal_to_scalar(h):
+    rng = np.random.default_rng(7)
+    for b in (1e-20, 1e-3, 0.5, 0.9, 0.98, 0.999999, 1.0 - 2.0**-53):
+        s = rng.uniform(-20.0, 20.0, 200)
+        x_of = cat._unduloid_x(h, b)
+        assert x_of(s).tolist() == [x_of(t) for t in s.tolist()], b
+        if b < 0.999:  # nearer 1, K's denominator can round to 0 (tested below)
+            k = cat.unduloid_gauss_curvature(h, b, s.reshape(20, 10))
+            assert k.shape == (20, 10)
+            assert k.ravel().tolist() == [cat.unduloid_gauss_curvature(h, b, t)
+                                          for t in s.tolist()], b
+
+
+def test_unduloid_x_of_zero_is_positive_zero_for_both_signs_of_H():
+    for h in (1.3, -0.8):
+        x = cat.unduloid_profile(h, 0.5, np.array([0.0, 0.0])).x
+        assert [math.copysign(1.0, v) for v in x.tolist()] == [1.0, 1.0]
+        assert math.copysign(1.0, cat.unduloid_profile(h, 0.5, 0.0).x) == 1.0
+
+
+_S_HELPERS = {
+    "profile": cat.unduloid_profile,
+    "gauss_curvature": cat.unduloid_gauss_curvature,
+    "principal_curvatures": cat.unduloid_principal_curvatures,
+}
+_HELPERS = {
+    **_S_HELPERS,
+    "inf_gauss": lambda h, b, s: cat.unduloid_inf_gauss(h, b),
+    "sup_phi": lambda h, b, s: cat.unduloid_sup_phi(h, b),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("s", [0.3, np.array([0.1, 0.3])], ids=["number", "array"])
+@pytest.mark.parametrize("name", sorted(_HELPERS))
+def test_unduloid_helpers_reject_non_finite_H_and_B(name, s, value):
+    with pytest.raises(InvalidParameters, match=r"^H must be finite$"):
+        _HELPERS[name](value, 0.5, s)
+    with pytest.raises(InvalidParameters, match=r"^B must be finite$"):
+        _HELPERS[name](1.0, value, s)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("as_array", [False, True], ids=["number", "array"])
+@pytest.mark.parametrize("name", sorted(_S_HELPERS))
+def test_unduloid_helpers_reject_non_finite_s_without_warnings(name, as_array, value):
+    s = np.array([0.2, value, 0.4]) if as_array else value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameters, match=r"^s must be finite$"):
+            _S_HELPERS[name](1.0, 0.5, s)
+
+
+def test_unduloid_x_rejects_overflowing_phase():
+    for s in (1e10, np.array([0.0, 1e10])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match="H\\*s overflows"):
+                cat.unduloid_profile(1e300, 0.5, s)
+
+
+def test_unduloid_gauss_curvature_rejects_a_denominator_rounded_to_zero():
+    # At B = 1 - 2^-53, 1 + B^2 + 2B sin(2Hs) rounds to 0 where the sine is -1.
+    b = 1.0 - 2.0**-53
+    s = 3.0 * math.pi / 4.0
+    assert math.sin(2.0 * s) == -1.0
+    for arg in (s, np.array([0.5, s])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match="too close to 1"):
+                cat.unduloid_gauss_curvature(1.0, b, arg)
 
 
 def test_unduloid_gauss_curvature_values():

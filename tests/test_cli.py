@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cmcgeo
-from cmcgeo.cli import main
+import cmcgeo.catalog as cat
+from cmcgeo.cli import _jfmt, main
+from cmcgeo.errors import InvalidParameters
 
 CSV_COLUMNS = ["family", "n", "c", "params", "abs_H", "phi_norm", "alpha_H",
                "scalar_curvature", "scalar_bound", "branch", "inf_K"]
@@ -195,6 +198,113 @@ def test_unduloid_csv_table(capsys):
     assert rows[0] == ["s", "x", "y", "y_prime", "y_second", "K", "phi_norm"]
     assert len(rows) == 5
     assert float(rows[1][2]) == pytest.approx(math.sqrt(1.25) / 2.0)
+
+
+def _table_per_sample(h, b, samples):
+    """The unduloid table built one sample at a time from the scalar
+    library calls; raises where a sample has no double-precision value.
+    The y columns come from a one-entry array, as the table's always came
+    from an array: numpy's array ``q**1.5`` and libm's pow, which a number
+    gets, differ in the last bit for some q."""
+    rows = []
+    for s in np.linspace(0.0, math.pi / abs(h), samples, endpoint=False).tolist():
+        k = cat.unduloid_gauss_curvature(h, b, s)
+        phi = math.sqrt(2.0 * (h * h - k))
+        x = cat.unduloid_profile(h, b, s).x
+        p = cat.unduloid_profile(h, b, np.array([s]))
+        rows.append([s, x, p.y[0], p.y_prime[0], p.y_second[0], k, phi])
+    return rows
+
+
+_TABLE_CASES = [("--B", h, b) for h in ("1.3", "-0.8", "2")
+                for b in ("1e-3", "0.5", "0.98", repr(1.0 - 2.0**-53))]
+_TABLE_CASES += [("--solve-eps", h, "1e-20") for h in ("1.3", "-0.8")]
+
+
+@pytest.mark.parametrize("samples", [64, 10])
+@pytest.mark.parametrize("option, h, value", _TABLE_CASES)
+def test_unduloid_table_rows_equal_rows_built_per_sample(capsys, option, h, value, samples):
+    h_val = float(h)
+    b = cat.solve_B_for_inf_gauss(h_val, float(value)) if option == "--solve-eps" else float(value)
+    argv = ["unduloid", "--H", h, option, value, "--samples", str(samples)]
+    try:
+        rows = _table_per_sample(h_val, b, samples)
+    except (InvalidParameters, ValueError):
+        # B = 1 - 2^-53: at some sample 1 + B^2 + 2B sin(2Hs) rounds to 0 or K
+        # rounds above H^2; the table must then exit 3 with a message, not crash.
+        for extra in ([], ["--csv"]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (3, "") and "B is too close to 1" in err
+        return
+    text = [[format(v, ".17g") for v in row] for row in rows]
+    code, out, _ = run(capsys, *argv, "--csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [",".join(row) for row in text]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    names = ("s", "x", "y", "y_prime", "y_second", "K", "phi_norm")
+    samples_json = ", ".join(
+        "{" + ", ".join(f'"{k}": {v}' for k, v in zip(names, row)) + "}" for row in text)
+    assert out.endswith(f'"samples": [{samples_json}]}}\n')
+
+
+def test_unduloid_table_near_one_exits_3_at_the_neck(capsys):
+    # 64 samples of one period put a sample where sin(2Hs) = -1 exactly.
+    code, out, err = run(capsys, "unduloid", "--H", "1", "--B", repr(1.0 - 2.0**-53))
+    assert (code, out) == (3, "")
+    assert err == "error: B is too close to 1: 1 + B^2 + 2B sin(2Hs) rounds to 0\n"
+
+
+def test_unduloid_table_is_one_array_pass(capsys, monkeypatch):
+    calls = []
+    real = cat._carlson_rf_rd
+
+    def counting(*args):
+        calls.append(np.size(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(cat, "_carlson_rf_rd", counting)
+    for samples in ("8", "512"):
+        calls.clear()
+        assert run(capsys, "unduloid", "--H", "-0.8", "--B", "0.9", "--samples", samples)[0] == 0
+        # G(pi/4), G(pi/2), then every sample at once
+        assert calls == [1, 1, int(samples)]
+
+
+def _plain(obj):
+    """obj with numpy scalars as Python ones, tuples as lists and non-finite
+    floats as None: what json.dumps must see to give _jfmt's bytes."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    'plain', 'quote " and backslash \\ and slash /', "tab\tnewline\ncontrol\x01\x1f",
+    "non-ASCII: café, Φ, ∞, 𝔖", "",
+    True, False, np.bool_(True), np.bool_(False), None,
+    0, -7, 2**70, np.int64(-123456789012), np.int32(5),
+    math.inf, -math.inf, math.nan, np.float64(math.nan), np.float64(-math.inf),
+    [1, [2.5, [None, "x"]], (True, -0.125)],
+    {1: "int key", 2.5: [0.5, math.nan], "s": {"nested": {3: np.float64(0.75)}}},
+    {"é": ["ü", {"k\"ey": 1}]}, [], {},
+], ids=repr)
+def test_jfmt_equals_json_dumps(obj):
+    assert _jfmt(obj) == json.dumps(_plain(obj))
+
+
+@pytest.mark.parametrize("x", [0.1, -2.0 / 3.0, 1e-300, 5e-324, 1.7976931348623157e308,
+                               -0.0, 1.0, 123456789.125, np.float64(0.1), np.float64(1e22)])
+def test_jfmt_writes_floats_with_17_significant_digits(x):
+    text = _jfmt(x)
+    assert text == format(float(x), ".17g")
+    assert json.loads(text) == x and type(json.loads(text)) in (float, int)
 
 
 def test_unduloid_requires_B_or_eps(capsys):

@@ -36,10 +36,9 @@ __all__ = [
     "closed_form_at",
     "UnduloidProfile",
     "unduloid_profile",
-    "unduloid_gauss_curvature",
+    "unduloid_phi_norm",
     "unduloid_inf_gauss",
     "unduloid_sup_phi",
-    "unduloid_principal_curvatures",
     "solve_B_for_inf_gauss",
     "sphere_product_mean_curvature",
     "hyperbolic_cylinder_mean_curvature",
@@ -354,7 +353,9 @@ def _unduloid_chart(m: Unduloid) -> ImmersionChart:
     x_of = _unduloid_x(h, b)
 
     def x_parts(s: float) -> tuple[float, float, float]:
-        return x_of(s), _unduloid_x_prime(h, b, s), _unduloid_x_second(h, b, s)
+        x = x_of(s)  # first: x_of rejects a non-finite s
+        xp, xpp, _ = _unduloid_x_derivatives(h, b, s)
+        return x, xp, xpp
 
     def ev(u: np.ndarray) -> list[Jet2]:
         s, theta = u[0], u[1]
@@ -380,18 +381,36 @@ def _unduloid_chart(m: Unduloid) -> ImmersionChart:
 # unduloid closed forms
 # --------------------------------------------------------------------------
 
-def _unduloid_q(h: float, b: float, s: float) -> float:
-    return 1.0 + b * b + 2.0 * b * math.sin(2.0 * h * s)
+def _each(f, a: np.ndarray) -> np.ndarray:
+    """f through ``math`` at each entry of an array, as at a number: numpy's
+    own sin, cos and power can differ from libm's in the last bit."""
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _unduloid_x_prime(h: float, b: float, s: float) -> float:
-    return (1.0 + b * math.sin(2.0 * h * s)) / math.sqrt(_unduloid_q(h, b, s))
+def _unduloid_x_derivatives(h: float, b: float, s) -> tuple:
+    """x'(s) and x''(s), then the terms (sin 2Hs, cos 2Hs, q, sqrt q, q^1.5)
+    with q = 1 + B^2 + 2B sin(2Hs), at a number s (a ``float``) or at each
+    entry of an array.
 
-
-def _unduloid_x_second(h: float, b: float, s: float) -> float:
-    q = _unduloid_q(h, b, s)
-    sn, cs = math.sin(2.0 * h * s), math.cos(2.0 * h * s)
-    return 2.0 * h * b * cs * (b + sn) * b / q**1.5
+    Both take one arithmetic: sin, cos and q ** 1.5 through ``math`` per
+    entry, and otherwise + - * / and a correctly rounded sqrt, so each entry
+    of an array equals the scalar result bit for bit."""
+    number = isinstance(s, float)
+    two_hs = 2.0 * h * s
+    if number:
+        sn, cs = math.sin(two_hs), math.cos(two_hs)
+    else:
+        sn, cs = _each(math.sin, two_hs), _each(math.cos, two_hs)
+    q = 1.0 + b * b + 2.0 * b * sn  # (1-B)^2 + 2B(1 + sn), rounded
+    if q == 0.0 if number else (q == 0.0).any():  # only for B within about 1e-8 of 1
+        raise InvalidParameters("B is too close to 1: 1 + B^2 + 2B sin(2Hs) rounds to 0")
+    if number:
+        root_q, q_15 = math.sqrt(q), q ** 1.5
+    else:
+        root_q, q_15 = np.sqrt(q), _each(lambda v: v ** 1.5, q)
+    x_p = (1.0 + b * sn) / root_q
+    x_pp = 2.0 * h * b * cs * (b + sn) * b / q_15
+    return x_p, x_pp, (sn, cs, q, root_q, q_15)
 
 
 def _carlson_rf_rd(x, y, z, steps: int, sqrt=math.sqrt) -> tuple:
@@ -450,22 +469,22 @@ def _unduloid_x(h: float, b: float) -> Callable:
     def g(phi):
         if isinstance(phi, float):
             sn, cs2, sqrt = math.sin(phi), math.cos(phi) ** 2, math.sqrt
-        else:  # per entry through math, as for one point: c ** 2 and c * c can differ
-            phis = phi.tolist()
-            sn = np.array([math.sin(p) for p in phis])
-            cs2 = np.array([math.cos(p) ** 2 for p in phis])
+        else:  # cos(phi) ** 2 per entry as well: c ** 2 and c * c can differ
+            sn, cs2 = _each(math.sin, phi), _each(lambda p: math.cos(p) ** 2, phi)
             sqrt = np.sqrt
         rf, rd = _carlson_rf_rd(cs2, m1 + m * cs2, 1.0, steps, sqrt)
         return sn * (2.0 * rf - w * sn * sn * rd)
 
     g_start, g_half = g(math.pi / 4.0), g(math.pi / 2.0)
 
+    # Rejected where 2 chi overflows: x adds 2j G(pi/2) with j near chi/pi,
+    # and the rest of the profile takes sin(2Hs).
     def x(s):
         if isinstance(s, float):
             if not math.isfinite(s):
                 raise InvalidParameters("s must be finite")
             chi = math.pi / 4.0 - h * s
-            if not math.isfinite(chi):
+            if not math.isfinite(2.0 * chi):
                 raise InvalidParameters("H*s overflows")
             j = round(chi / math.pi)
         else:
@@ -473,7 +492,8 @@ def _unduloid_x(h: float, b: float) -> Callable:
                 raise InvalidParameters("s must be finite")
             with np.errstate(over="ignore"):  # rejected on the next line
                 chi = math.pi / 4.0 - h * s
-            if not np.isfinite(chi).all():
+                two_chi = 2.0 * chi
+            if not np.isfinite(two_chi).all():
                 raise InvalidParameters("H*s overflows")
             j = np.round(chi / math.pi)  # half to even, as round does
         # + 0.0: x(0) for H < 0 is -0.0 otherwise
@@ -482,65 +502,59 @@ def _unduloid_x(h: float, b: float) -> Callable:
     return x
 
 
-def _arclength(s) -> np.ndarray:
-    """s as a float array (0-d for a number), after InvalidParameters unless
-    every entry is finite."""
-    s_arr = np.asarray(s, dtype=float)
-    if not np.isfinite(s_arr).all():
-        raise InvalidParameters("s must be finite")
-    return s_arr
-
-
 @dataclass(frozen=True)
 class UnduloidProfile:
-    """Profile data at one arclength, or arrays of it over an array of them."""
+    """The unduloid's pointwise closed forms at one arclength, or arrays of
+    them over an array of arclengths: the profile curve (x, y) and its first
+    two derivatives, the Gauss curvature K = -y''/y, and the meridian and
+    parallel principal curvatures, oriented so that their mean is |H|."""
 
     x: float
     x_prime: float
+    x_second: float
     y: float
     y_prime: float
     y_second: float
+    K: float
+    kappa_mer: float
+    kappa_par: float
 
 
 def unduloid_profile(H: float, B: float, s) -> UnduloidProfile:
-    """Profile curve data at arclength s, all in closed form: the axial
-    coordinate by the chart's elliptic-integral x(s), the rest by numpy.
+    """The profile record at arclength s, all in closed form: x by the
+    chart's elliptic-integral x(s), the rest from x', x'' and the terms of
+    ``_unduloid_x_derivatives``.
 
     ``s`` is a number or an array; for an array every field is an array of
-    the same shape, its x from one array pass.
+    the same shape, each entry equal to the record at that number bit for
+    bit.  Raises InvalidParameters where 1 + B^2 + 2B sin(2Hs) rounds to 0.
     """
     Unduloid(H, B)  # rejects H = 0, B outside (0,1) and non-finite values
     s_arr = np.asarray(s, dtype=float)
     x_of = _unduloid_x(H, B)  # first: x_of rejects a non-finite s
-    x = x_of(s_arr.ravel()).reshape(s_arr.shape) if s_arr.ndim else x_of(float(s_arr))
-    sn, cs = np.sin(2.0 * H * s_arr), np.cos(2.0 * H * s_arr)
-    q = 1.0 + B * B + 2.0 * B * sn
-    root_q = np.sqrt(q)
-    abs_h = abs(H)
-    return UnduloidProfile(
-        x=x,
-        x_prime=(1.0 + B * sn) / root_q,
-        y=root_q / (2.0 * abs_h),
-        y_prime=(H / abs_h) * B * cs / root_q,
-        y_second=-2.0 * abs_h * B * (sn * q + B * cs * cs) / q**1.5,
-    )
-
-
-def unduloid_gauss_curvature(H: float, B: float, s):
-    """Gauss curvature K(s) = -y''/y of the unduloid profile, at a number s
-    or elementwise over an array of them (sin(2Hs) per entry through
-    ``math``, so each entry equals the scalar result bit for bit)."""
-    Unduloid(H, B)
-    s_arr = _arclength(s)
     if s_arr.ndim:
-        sn = np.array([math.sin(t) for t in (2.0 * H * s_arr).ravel().tolist()])
-        sn = sn.reshape(s_arr.shape)
+        s, x = s_arr, x_of(s_arr.ravel()).reshape(s_arr.shape)
     else:
-        sn = math.sin(2.0 * H * float(s_arr))
-    q = 1.0 + B * B + 2.0 * B * sn  # (1-B)^2 + 2B(1 + sn), rounded
-    if np.any(q == 0.0):  # only for B within about 1e-8 of 1
-        raise InvalidParameters("B is too close to 1: 1 + B^2 + 2B sin(2Hs) rounds to 0")
-    return 4.0 * H * H * B * (B + sn) * (1.0 + B * sn) / (q * q)
+        s = float(s_arr)
+        x = x_of(s)
+    x_p, x_pp, (sn, cs, q, root_q, q_15) = _unduloid_x_derivatives(H, B, s)
+    abs_h = abs(H)
+    y = root_q / (2.0 * abs_h)
+    y_p = (H / abs_h) * B * cs / root_q
+    y_pp = -2.0 * abs_h * B * (sn * q + B * cs * cs) / q_15
+    return UnduloidProfile(
+        x=x, x_prime=x_p, x_second=x_pp, y=y, y_prime=y_p, y_second=y_pp,
+        K=4.0 * H * H * B * (B + sn) * (1.0 + B * sn) / (q * q),
+        kappa_mer=x_pp * y_p - x_p * y_pp, kappa_par=x_p / y)
+
+
+def unduloid_phi_norm(H: float, K):
+    """|Phi| = sqrt(2 (H^2 - K)) from the unduloid's Gauss curvature K, a
+    number or an array (``unduloid_profile(...).K``)."""
+    phi2 = 2.0 * (H * H - K)
+    if np.any(phi2 < 0.0):  # only for B within about 1e-8 of 1
+        raise InvalidParameters("B is too close to 1: K rounds above H^2")
+    return np.sqrt(phi2) if isinstance(phi2, np.ndarray) else math.sqrt(phi2)
 
 
 def unduloid_inf_gauss(H: float, B: float) -> float:
@@ -556,33 +570,16 @@ def unduloid_sup_phi(H: float, B: float) -> float:
     return math.sqrt(2.0) * abs(H) * (1.0 + B) / (1.0 - B)
 
 
-def unduloid_principal_curvatures(H: float, B: float, s: float) -> tuple[float, float]:
-    """(meridian, parallel) principal curvatures at arclength s (a number),
-    oriented so their mean is |H|.  Needs no axial integral, only profile
-    derivatives."""
-    Unduloid(H, B)
-    s = float(_arclength(s))
-    q = _unduloid_q(H, B, s)
-    sn, cs = math.sin(2.0 * H * s), math.cos(2.0 * H * s)
-    abs_h = abs(H)
-    x_p = _unduloid_x_prime(H, B, s)
-    y = math.sqrt(q) / (2.0 * abs_h)
-    y_p = (H / abs_h) * B * cs / math.sqrt(q)
-    y_pp = -2.0 * abs_h * B * (sn * q + B * cs * cs) / q**1.5
-    k_par = x_p / y
-    k_mer = _unduloid_x_second(H, B, s) * y_p - x_p * y_pp
-    return k_mer, k_par
-
-
 def solve_B_for_inf_gauss(H: float, eps: float) -> float:
     """The B in (0,1) with inf K = -eps: root of eps B^2 - (2 eps + 4 H^2) B + eps,
-    as eps over the other root's numerator (the roots multiply to 1)."""
-    if H == 0:
-        raise InvalidParameters("H must be nonzero")
+    as eps over the other root's numerator (the roots multiply to 1).
+
+    B is returned through ``Unduloid``, which rejects H = 0 or non-finite and
+    a B that rounds to 0 or 1 (H^2 overflows, or eps dwarfs H^2)."""
     if not 0 < eps < math.inf:
         raise InvalidParameters("eps must be positive and finite")
     h2 = H * H
-    return eps / (eps + 2.0 * h2 + 2.0 * abs(H) * math.sqrt(h2 + eps))
+    return Unduloid(H, eps / (eps + 2.0 * h2 + 2.0 * abs(H) * math.sqrt(h2 + eps))).B
 
 
 # --------------------------------------------------------------------------
@@ -687,10 +684,8 @@ def closed_form_at(model: ModelSpec, inv: ClosedFormInvariants, u) -> tuple[floa
     ``u``, given ``inv = closed_form_invariants(model)``: its constants, or
     for the unduloid the profile values at arclength u[0]."""
     if isinstance(model, Unduloid):
-        s = float(u[0])
-        kgauss = unduloid_gauss_curvature(model.H, model.B, s)
-        k_mer, k_par = unduloid_principal_curvatures(model.H, model.B, s)
-        return math.sqrt(2.0 * (model.H**2 - kgauss)), np.sort([k_mer, k_par])
+        p = unduloid_profile(model.H, model.B, float(u[0]))
+        return unduloid_phi_norm(model.H, p.K), np.sort([p.kappa_mer, p.kappa_par])
     return inv.phi_norm, inv.kappas
 
 

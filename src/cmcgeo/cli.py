@@ -279,12 +279,8 @@ def _cmd_unduloid(args) -> int:
     h, b = model.H, model.B
     period = math.pi / abs(h)
     s_grid = np.linspace(0.0, period, args.samples, endpoint=False)
-    k = catalog.unduloid_gauss_curvature(h, b, s_grid)
-    phi2 = 2.0 * (h * h - k)
-    if (phi2 < 0.0).any():  # only for B within about 1e-8 of 1
-        raise InvalidParameters("B is too close to 1: K rounds above H^2")
     p = catalog.unduloid_profile(h, b, s_grid)
-    columns = [s_grid, p.x, p.y, p.y_prime, p.y_second, k, np.sqrt(phi2)]
+    columns = [s_grid, p.x, p.y, p.y_prime, p.y_second, p.K, catalog.unduloid_phi_norm(h, p.K)]
     values = list(zip(*(col.tolist() for col in columns)))
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")

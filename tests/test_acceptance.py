@@ -133,11 +133,9 @@ def test_criterion_6_closed_form_match():
             sd = shape_data_at(chart, u)
             worst = max(worst, abs(sd.mean_curvature - inv.abs_H))
             if isinstance(model, cat.Unduloid):
-                k_mer, k_par = cat.unduloid_principal_curvatures(
-                    model.H, model.B, float(u[0]))
-                closed_kap = np.sort([k_mer, k_par])
-                kg = cat.unduloid_gauss_curvature(model.H, model.B, float(u[0]))
-                closed_phi = math.sqrt(2.0 * (model.H**2 - kg))
+                p = cat.unduloid_profile(model.H, model.B, float(u[0]))
+                closed_kap = np.sort([p.kappa_mer, p.kappa_par])
+                closed_phi = math.sqrt(2.0 * (model.H**2 - p.K))
             else:
                 closed_kap = inv.kappas
                 closed_phi = inv.phi_norm

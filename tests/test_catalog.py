@@ -114,11 +114,16 @@ def test_unduloid_x_bit_equal_on_chart_batch_and_profile(h):
     b = 0.9
     s = np.linspace(-2.0 * math.pi, 3.0 * math.pi, 23)
     chart = cat.build_chart(cat.Unduloid(h, b))
-    batched = chart.jets(np.stack([s, np.full_like(s, 0.4)]), batch=True)[0].value
-    table = cat.unduloid_profile(h, b, s).x
+    batched = chart.jets(np.stack([s, np.full_like(s, 0.4)]), batch=True)[0]
+    table = cat.unduloid_profile(h, b, s)
     for i, si in enumerate(s.tolist()):
-        scalar = chart.position(np.array([si, 0.4]))[0]
-        assert scalar == batched[i] == table[i] == cat.unduloid_profile(h, b, si).x, si
+        scalar = chart.jets(np.array([si, 0.4]))[0]
+        p = cat.unduloid_profile(h, b, si)
+        assert scalar.value == batched.value[i] == table.x[i] == p.x, si
+        # the x-jet's s-derivatives are the profile's x' and x''
+        assert scalar.grad[0] == batched.grad[0][i] == table.x_prime[i] == p.x_prime, si
+        assert (scalar.hess[0, 0] == batched.hess[0, 0][i] == table.x_second[i]
+                == p.x_second), si
 
 
 def _complete_e(k):
@@ -175,15 +180,18 @@ def test_unduloid_table_x_is_periodic_in_steps():
         assert np.max(np.abs(shifted - x_period)) <= 1e-10
 
 
-def test_unduloid_table_closed_forms_match_scalar():
+_PROFILE_FIELDS = [f.name for f in dataclasses.fields(cat.UnduloidProfile)]
+
+
+@pytest.mark.parametrize("h", [1.3, -0.8, 2.0])
+@pytest.mark.parametrize("b", [1e-3, 0.5, 0.98])
+def test_unduloid_table_closed_forms_match_scalar(h, b):
     s = np.linspace(-1.0, 4.0, 41)
-    for h in (1.3, -0.8):
-        table = cat.unduloid_profile(h, 0.6, s)
-        for i, si in enumerate(s.tolist()):
-            p = cat.unduloid_profile(h, 0.6, si)
-            for field in ("x_prime", "y", "y_prime", "y_second"):
-                assert getattr(table, field)[i] == pytest.approx(
-                    getattr(p, field), rel=1e-14, abs=1e-300), (field, si)
+    table = cat.unduloid_profile(h, b, s)
+    for i, si in enumerate(s.tolist()):
+        p = cat.unduloid_profile(h, b, si)
+        for field in _PROFILE_FIELDS:
+            assert getattr(table, field)[i] == getattr(p, field), (field, si)
 
 
 def test_unduloid_table_rejects_non_finite_abscissae():
@@ -215,17 +223,19 @@ def test_unduloid_array_x_bit_equal_to_scalar_at_witnesses(h, b):
 
 
 @pytest.mark.parametrize("h", [1.0, -0.8, 1.3, 2.0, -1.25])
-def test_unduloid_array_x_and_gauss_bit_equal_to_scalar(h):
+def test_unduloid_array_profile_bit_equal_to_scalar(h):
     rng = np.random.default_rng(7)
     for b in (1e-20, 1e-3, 0.5, 0.9, 0.98, 0.999999, 1.0 - 2.0**-53):
         s = rng.uniform(-20.0, 20.0, 200)
         x_of = cat._unduloid_x(h, b)
         assert x_of(s).tolist() == [x_of(t) for t in s.tolist()], b
-        if b < 0.999:  # nearer 1, K's denominator can round to 0 (tested below)
-            k = cat.unduloid_gauss_curvature(h, b, s.reshape(20, 10))
-            assert k.shape == (20, 10)
-            assert k.ravel().tolist() == [cat.unduloid_gauss_curvature(h, b, t)
-                                          for t in s.tolist()], b
+        if b < 0.999:  # nearer 1, q can round to 0 (tested below)
+            table = cat.unduloid_profile(h, b, s.reshape(20, 10))
+            points = [cat.unduloid_profile(h, b, t) for t in s.tolist()]
+            for field in _PROFILE_FIELDS:
+                column = getattr(table, field)
+                assert column.shape == (20, 10)
+                assert column.ravel().tolist() == [getattr(p, field) for p in points], (b, field)
 
 
 def test_unduloid_x_of_zero_is_positive_zero_for_both_signs_of_H():
@@ -235,10 +245,17 @@ def test_unduloid_x_of_zero_is_positive_zero_for_both_signs_of_H():
         assert math.copysign(1.0, cat.unduloid_profile(h, 0.5, 0.0).x) == 1.0
 
 
+def _chart_jets(h, b, s):
+    """The unduloid chart at arclength s: one point, or a batch over an array."""
+    chart = cat.build_chart(cat.Unduloid(h, b))
+    if isinstance(s, np.ndarray):
+        return chart.jets(np.stack([s, np.full_like(s, 0.4)]), batch=True)
+    return chart.jets(np.array([s, 0.4]))
+
+
 _S_HELPERS = {
     "profile": cat.unduloid_profile,
-    "gauss_curvature": cat.unduloid_gauss_curvature,
-    "principal_curvatures": cat.unduloid_principal_curvatures,
+    "chart": _chart_jets,
 }
 _HELPERS = {
     **_S_HELPERS,
@@ -268,15 +285,19 @@ def test_unduloid_helpers_reject_non_finite_s_without_warnings(name, as_array, v
             _S_HELPERS[name](1.0, 0.5, s)
 
 
-def test_unduloid_x_rejects_overflowing_phase():
-    for s in (1e10, np.array([0.0, 1e10])):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidParameters, match="H\\*s overflows"):
-                cat.unduloid_profile(1e300, 0.5, s)
+@pytest.mark.parametrize("name", sorted(_S_HELPERS))
+def test_unduloid_x_rejects_overflowing_phase(name):
+    # H*s itself overflows, or only 2Hs does
+    for h, s in ((1e300, 1e10), (1.0, 1.5e308)):
+        for arg in (s, np.array([0.0, s])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidParameters, match="H\\*s overflows"):
+                    _S_HELPERS[name](h, 0.5, arg)
 
 
-def test_unduloid_gauss_curvature_rejects_a_denominator_rounded_to_zero():
+@pytest.mark.parametrize("name", sorted(_S_HELPERS))
+def test_unduloid_profile_rejects_q_rounded_to_zero(name):
     # At B = 1 - 2^-53, 1 + B^2 + 2B sin(2Hs) rounds to 0 where the sine is -1.
     b = 1.0 - 2.0**-53
     s = 3.0 * math.pi / 4.0
@@ -285,28 +306,43 @@ def test_unduloid_gauss_curvature_rejects_a_denominator_rounded_to_zero():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameters, match="too close to 1"):
-                cat.unduloid_gauss_curvature(1.0, b, arg)
+                _S_HELPERS[name](1.0, b, arg)
+    # elsewhere the profile keeps its values, x included
+    p = cat.unduloid_profile(1.0, b, np.array([0.5, math.pi / 4.0]))
+    assert all(np.isfinite(getattr(p, field)).all() for field in _PROFILE_FIELDS)
+
+
+def test_unduloid_phi_norm_rejects_K_rounded_above_H_squared():
+    assert cat.unduloid_phi_norm(1.0, -7.0) == 4.0
+    assert cat.unduloid_phi_norm(1.0, np.array([1.0, -7.0])).tolist() == [0.0, 4.0]
+    for k in (1.0 + 2.0**-52, np.array([0.5, 1.0 + 2.0**-52])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match=r"K rounds above H\^2$"):
+                cat.unduloid_phi_norm(1.0, k)
 
 
 def test_unduloid_gauss_curvature_values():
-    assert cat.unduloid_gauss_curvature(1.0, 0.5, 3.0 * math.pi / 4.0) == pytest.approx(-8.0, abs=1e-12)
+    assert cat.unduloid_profile(1.0, 0.5, 3.0 * math.pi / 4.0).K == pytest.approx(-8.0, abs=1e-12)
     assert cat.unduloid_inf_gauss(1.0, 0.5) == -8.0
     # nearly-cylindrical limit: curvature uniformly tiny
     for s in np.linspace(0.0, math.pi, 50):
-        assert abs(cat.unduloid_gauss_curvature(1.0, 1e-6, float(s))) <= 5e-6
+        assert abs(cat.unduloid_profile(1.0, 1e-6, float(s)).K) <= 5e-6
     # Gauss bound K <= H^2 for a flat ambient
     for s in np.linspace(0.0, math.pi, 100):
-        assert cat.unduloid_gauss_curvature(1.0, 0.5, float(s)) <= 1.0
+        assert cat.unduloid_profile(1.0, 0.5, float(s)).K <= 1.0
 
 
 def test_unduloid_principal_curvatures_mean():
     for s in (0.0, 0.4, 1.3, 2.5):
-        k_mer, k_par = cat.unduloid_principal_curvatures(1.0, 0.5, s)
-        assert 0.5 * (k_mer + k_par) == pytest.approx(1.0, abs=1e-10)
+        p = cat.unduloid_profile(1.0, 0.5, s)
+        assert 0.5 * (p.kappa_mer + p.kappa_par) == pytest.approx(1.0, abs=1e-10)
         # |Phi| from the two curvatures agrees with the Gauss-curvature route
-        phi = math.sqrt(2.0) * abs(k_par - 1.0)
-        k = cat.unduloid_gauss_curvature(1.0, 0.5, s)
-        assert phi == pytest.approx(math.sqrt(2.0 * (1.0 - k)), abs=1e-10)
+        phi = math.sqrt(2.0) * abs(p.kappa_par - 1.0)
+        assert phi == pytest.approx(math.sqrt(2.0 * (1.0 - p.K)), abs=1e-10)
+        # K = -y''/y, and the product of the principal curvatures
+        assert p.K == pytest.approx(-p.y_second / p.y, abs=1e-12)
+        assert p.K == pytest.approx(p.kappa_mer * p.kappa_par, abs=1e-12)
 
 
 def test_unduloid_sup_phi_closed_form():
@@ -328,6 +364,19 @@ def test_solve_B_for_inf_gauss():
         assert cat.unduloid_inf_gauss(1.0, b) == pytest.approx(-eps, rel=1e-12, abs=0.0)
     bs = [cat.solve_B_for_inf_gauss(1.0, e) for e in (0.1, 1.0, 10.0, 100.0)]
     assert all(b2 > b1 for b1, b2 in zip(bs, bs[1:]))
+
+
+@pytest.mark.parametrize("h, eps, message", [
+    (math.inf, 8.0, r"^H must be finite$"),
+    (-math.inf, 8.0, r"^H must be finite$"),
+    (math.nan, 8.0, r"^H must be finite$"),
+    (0.0, 8.0, r"^H must be nonzero$"),
+    # B = eps / (eps + 2H^2 + ...) rounds to 1
+    (1e-200, 1e300, r"^B must lie in \(0,1\)$"),
+])
+def test_solve_B_for_inf_gauss_rejects_what_has_no_B_in_0_1(h, eps, message):
+    with pytest.raises(InvalidParameters, match=message):
+        cat.solve_B_for_inf_gauss(h, eps)
 
 
 def test_unduloid_negative_H_matches_numerics_in_absolute_value():
@@ -442,9 +491,9 @@ def test_closed_form_at_follows_the_unduloid_profile():
     inv = cat.closed_form_invariants(model)
     for s in (0.0, 0.7, 2.4):
         phi, kappas = cat.closed_form_at(model, inv, np.array([s, 0.3]))
-        k = cat.unduloid_gauss_curvature(-1.3, 0.6, s)
-        assert phi == math.sqrt(2.0 * (1.3**2 - k))
-        assert np.array_equal(kappas, np.sort(cat.unduloid_principal_curvatures(-1.3, 0.6, s)))
+        p = cat.unduloid_profile(-1.3, 0.6, s)
+        assert phi == math.sqrt(2.0 * (1.3**2 - p.K))
+        assert np.array_equal(kappas, np.sort([p.kappa_mer, p.kappa_par]))
         sd = shape_data_at(cat.build_chart(model), [s, 0.3])
         assert phi == pytest.approx(math.sqrt(sd.traceless_norm2), abs=1e-9)
         assert np.allclose(kappas, np.sort(sd.principal_curvatures), atol=1e-9)

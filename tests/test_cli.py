@@ -202,17 +202,11 @@ def test_unduloid_csv_table(capsys):
 
 def _table_per_sample(h, b, samples):
     """The unduloid table built one sample at a time from the scalar
-    library calls; raises where a sample has no double-precision value.
-    The y columns come from a one-entry array, as the table's always came
-    from an array: numpy's array ``q**1.5`` and libm's pow, which a number
-    gets, differ in the last bit for some q."""
+    library calls; raises where a sample has no double-precision value."""
     rows = []
     for s in np.linspace(0.0, math.pi / abs(h), samples, endpoint=False).tolist():
-        k = cat.unduloid_gauss_curvature(h, b, s)
-        phi = math.sqrt(2.0 * (h * h - k))
-        x = cat.unduloid_profile(h, b, s).x
-        p = cat.unduloid_profile(h, b, np.array([s]))
-        rows.append([s, x, p.y[0], p.y_prime[0], p.y_second[0], k, phi])
+        p = cat.unduloid_profile(h, b, s)
+        rows.append([s, p.x, p.y, p.y_prime, p.y_second, p.K, cat.unduloid_phi_norm(h, p.K)])
     return rows
 
 
@@ -229,7 +223,7 @@ def test_unduloid_table_rows_equal_rows_built_per_sample(capsys, option, h, valu
     argv = ["unduloid", "--H", h, option, value, "--samples", str(samples)]
     try:
         rows = _table_per_sample(h_val, b, samples)
-    except (InvalidParameters, ValueError):
+    except InvalidParameters:
         # B = 1 - 2^-53: at some sample 1 + B^2 + 2B sin(2Hs) rounds to 0 or K
         # rounds above H^2; the table must then exit 3 with a message, not crash.
         for extra in ([], ["--csv"]):
@@ -253,6 +247,14 @@ def test_unduloid_table_near_one_exits_3_at_the_neck(capsys):
     code, out, err = run(capsys, "unduloid", "--H", "1", "--B", repr(1.0 - 2.0**-53))
     assert (code, out) == (3, "")
     assert err == "error: B is too close to 1: 1 + B^2 + 2B sin(2Hs) rounds to 0\n"
+
+
+def test_verify_near_one_exits_3(capsys):
+    # At B = 1 - 2^-53 the closed-form K rounds above H^2 at a grid point, so
+    # |Phi| = sqrt(2 (H^2 - K)) has no value there.
+    code, out, err = run(capsys, "verify", "unduloid:H=1,B=0.9999999999999999", "--grid", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: B is too close to 1: K rounds above H^2\n"
 
 
 def test_unduloid_table_is_one_array_pass(capsys, monkeypatch):

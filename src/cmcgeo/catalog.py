@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import InvalidParameters, OutOfRange, ParseError
 from .geometry import ImmersionChart, Interval
-# Not called here; kept because perfbench/tracing.py patches it by name here.
-from .numeric import Jet2, adaptive_quadrature
+# adaptive_quadrature is not called here; it stays imported because
+# perfbench/tracing.py patches it by name here.
+from .numeric import Jet2, _each, adaptive_quadrature
 from .spaceform import AmbientSpace
 
 __all__ = [
@@ -347,12 +348,19 @@ def _umbilical_sphere_chart(m: UmbilicalSphere) -> ImmersionChart:
                           name=model_to_text(m))
 
 
+# From this many points on, the unduloid chart takes x(s), x' and x'' in one
+# array pass; below, one point at a time.  Both give the same bits.  The
+# pass has a fixed cost of about 30 scalar calls: on a 2-core Xeon (best of
+# 200) the two paths cost the same at 28-36 points.
+_X_ARRAY_MIN = 32
+
+
 def _unduloid_chart(m: Unduloid) -> ImmersionChart:
     h, b = m.H, m.B
     abs_h = abs(h)
     x_of = _unduloid_x(h, b)
 
-    def x_parts(s: float) -> tuple[float, float, float]:
+    def x_parts(s):
         x = x_of(s)  # first: x_of rejects a non-finite s
         xp, xpp, _ = _unduloid_x_derivatives(h, b, s)
         return x, xp, xpp
@@ -362,8 +370,9 @@ def _unduloid_chart(m: Unduloid) -> ImmersionChart:
         if u.ndim == 1:
             x, xp, xpp = x_parts(float(s))
             zero = 0.0
-        else:  # one closed-form x per point
-            x, xp, xpp = np.array([x_parts(t) for t in s.tolist()]).T
+        else:
+            x, xp, xpp = (x_parts(s) if s.size >= _X_ARRAY_MIN
+                          else np.array([x_parts(t) for t in s.tolist()]).T)
             zero = np.zeros_like(x)
         xj = Jet2(x, np.array([xp, zero]), np.array([[xpp, zero], [zero, zero]]))
         sj = Jet2.variable(s, 0, 2)
@@ -380,12 +389,6 @@ def _unduloid_chart(m: Unduloid) -> ImmersionChart:
 # --------------------------------------------------------------------------
 # unduloid closed forms
 # --------------------------------------------------------------------------
-
-def _each(f, a: np.ndarray) -> np.ndarray:
-    """f through ``math`` at each entry of an array, as at a number: numpy's
-    own sin, cos and power can differ from libm's in the last bit."""
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
 
 def _unduloid_x_derivatives(h: float, b: float, s) -> tuple:
     """x'(s) and x''(s), then the terms (sin 2Hs, cos 2Hs, q, sqrt q, q^1.5)
@@ -477,29 +480,37 @@ def _unduloid_x(h: float, b: float) -> Callable:
 
     g_start, g_half = g(math.pi / 4.0), g(math.pi / 2.0)
 
-    # Rejected where 2 chi overflows: x adds 2j G(pi/2) with j near chi/pi,
-    # and the rest of the profile takes sin(2Hs).
     def x(s):
-        if isinstance(s, float):
-            if not math.isfinite(s):
-                raise InvalidParameters("s must be finite")
-            chi = math.pi / 4.0 - h * s
-            if not math.isfinite(2.0 * chi):
-                raise InvalidParameters("H*s overflows")
-            j = round(chi / math.pi)
-        else:
-            if not np.isfinite(s).all():
-                raise InvalidParameters("s must be finite")
-            with np.errstate(over="ignore"):  # rejected on the next line
-                chi = math.pi / 4.0 - h * s
-                two_chi = 2.0 * chi
-            if not np.isfinite(two_chi).all():
-                raise InvalidParameters("H*s overflows")
-            j = np.round(chi / math.pi)  # half to even, as round does
+        chi = _phase(h, s)
+        # np.round rounds half to even, as round does
+        j = round(chi / math.pi) if isinstance(s, float) else np.round(chi / math.pi)
         # + 0.0: x(0) for H < 0 is -0.0 otherwise
         return (g_start - g(chi - j * math.pi) - 2 * j * g_half) / (2.0 * h) + 0.0
 
     return x
+
+
+def _phase(h: float, s):
+    """chi = pi/4 - Hs at a number s (a ``float``) or over an array.
+
+    Raises InvalidParameters where s is not finite or 2 chi overflows: x(s)
+    adds 2j G(pi/2) with j near chi/pi, and the rest of the profile takes
+    sin(2Hs)."""
+    if isinstance(s, float):
+        if not math.isfinite(s):
+            raise InvalidParameters("s must be finite")
+        chi = math.pi / 4.0 - h * s
+        if not math.isfinite(2.0 * chi):
+            raise InvalidParameters("H*s overflows")
+        return chi
+    if not np.isfinite(s).all():
+        raise InvalidParameters("s must be finite")
+    with np.errstate(over="ignore"):  # rejected on the next line
+        chi = math.pi / 4.0 - h * s
+        two_chi = 2.0 * chi
+    if not np.isfinite(two_chi).all():
+        raise InvalidParameters("H*s overflows")
+    return chi
 
 
 @dataclass(frozen=True)
@@ -537,6 +548,13 @@ def unduloid_profile(H: float, B: float, s) -> UnduloidProfile:
     else:
         s = float(s_arr)
         x = x_of(s)
+    return _profile_with(H, B, s, x)
+
+
+def _profile_with(H: float, B: float, s, x) -> UnduloidProfile:
+    """``unduloid_profile`` at a checked s, given its x: every other field
+    from x', x'' and the terms of ``_unduloid_x_derivatives``.
+    ``closed_form_at`` passes x=None, as it reads no x."""
     x_p, x_pp, (sn, cs, q, root_q, q_15) = _unduloid_x_derivatives(H, B, s)
     abs_h = abs(H)
     y = root_q / (2.0 * abs_h)
@@ -684,7 +702,9 @@ def closed_form_at(model: ModelSpec, inv: ClosedFormInvariants, u) -> tuple[floa
     ``u``, given ``inv = closed_form_invariants(model)``: its constants, or
     for the unduloid the profile values at arclength u[0]."""
     if isinstance(model, Unduloid):
-        p = unduloid_profile(model.H, model.B, float(u[0]))
+        s = float(u[0])
+        _phase(model.H, s)  # rejects s as x(s) would
+        p = _profile_with(model.H, model.B, s, None)
         return unduloid_phi_norm(model.H, p.K), np.sort([p.kappa_mer, p.kappa_par])
     return inv.phi_norm, inv.kappas
 

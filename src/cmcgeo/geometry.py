@@ -338,7 +338,6 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     u = np.array(points, dtype=float)
     if u.ndim != 2 or u.shape[1] != n:
         raise SizeMismatch(f"chart points of shape {u.shape}, expected (P, {n})")
-    count = u.shape[0]
     arrays = _batched_arrays(chart, u)
     if arrays is None:
         return [shape_data_at(chart, p) for p in u]
@@ -382,20 +381,16 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     g_inv_sqrt = (vecs * (1.0 / np.sqrt(np.where(bad[:, None], 1.0, evals)))[:, None, :]) \
         @ vecs.transpose(0, 2, 1)
 
-    # The scalars as Python floats, with the single-point arithmetic.
-    c = space.c
+    # The scalars as Python floats, with the single-point arithmetic; the
+    # records from the per-point rows, fields in declaration order.
+    nn1, c = n * (n - 1), space.c
     root_det = np.sqrt(np.where(bad, 1.0, det_g)).tolist()
-    hs = mean_curv.tolist()
     phis = [max(p, 0.0) for p in phi_norm2.tolist()]
-    out = [
-        ShapeData(
-            point=u[i], space=space, position=pos[i], metric=g[i], metric_inv=g_inv[i],
-            metric_inv_sqrt=g_inv_sqrt[i], sqrt_det_metric=root_det[i],
-            normal=normal[i], second_fundamental=a[i], shape_operator=shape_op[i],
-            mean_curvature=hs[i], traceless_shape=traceless[i],
-            traceless_lowered=traceless_low[i], traceless_norm2=phis[i],
-            scalar_curvature=n * (n - 1) * (c + hs[i]**2) - phis[i])
-        for i in range(count)]
+    out = [ShapeData(pt, space, x, gp, gi, gs, rd, nu, ap, sp, h, tp, tl, phi,
+                     nn1 * (c + h**2) - phi)
+           for pt, x, gp, gi, gs, rd, nu, ap, sp, h, tp, tl, phi in zip(
+               u, pos, g, g_inv, g_inv_sqrt, root_det, normal, a, shape_op,
+               mean_curv.tolist(), traceless, traceless_low, phis)]
     for i in np.flatnonzero(bad).tolist():
         out[i] = shape_data_at(chart, u[i])
     return out

@@ -44,6 +44,15 @@ def _basis(nvars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
+def _each(f: Callable[[float], float], a):
+    """f(a) at a number; over an array, f at each entry through Python
+    floats, as at a number: numpy's own sin, cos, sinh, cosh and powers can
+    differ from libm's in the last bit."""
+    if not isinstance(a, np.ndarray):
+        return f(a)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
 def _reciprocal_coeffs(v: float) -> tuple[float, float, float]:
     if v == 0.0:
         raise DomainError("division by a jet with zero value")
@@ -55,26 +64,6 @@ def _sqrt_coeffs(v: float) -> tuple[float, float, float]:
         raise DomainError(f"sqrt of a jet with non-positive value {v}")
     r = math.sqrt(v)
     return r, 0.5 / r, -0.25 / (v * r)
-
-
-def _sin_coeffs(v: float) -> tuple[float, float, float]:
-    s, c = math.sin(v), math.cos(v)
-    return s, c, -s
-
-
-def _cos_coeffs(v: float) -> tuple[float, float, float]:
-    s, c = math.sin(v), math.cos(v)
-    return c, -s, -c
-
-
-def _sinh_coeffs(v: float) -> tuple[float, float, float]:
-    s, c = math.sinh(v), math.cosh(v)
-    return s, c, s
-
-
-def _cosh_coeffs(v: float) -> tuple[float, float, float]:
-    s, c = math.sinh(v), math.cosh(v)
-    return c, s, c
 
 
 def _pow_coeffs(v: float, m: int) -> tuple[float, float, float]:
@@ -100,9 +89,10 @@ class Jet2:
     (P,), ``grad`` (n, P), ``hess`` (n, n, P)); ``variable`` makes a batched
     jet from an array of values.  One arithmetic serves both, and each point
     of a batched result equals the scalar result at that point bit for bit.
-    Operands of one operation are both scalar or both batched, so a constant
-    inside batched arithmetic is a plain number; ``constant`` jets have no
-    point axis.
+    sqrt, sin, cos, sinh and cosh take a batched jet's values as one array,
+    with no Python step per point beyond the libm calls.  Operands of one
+    operation are both scalar or both batched, so a constant inside batched
+    arithmetic is a plain number; ``constant`` jets have no point axis.
     """
 
     value: float | np.ndarray
@@ -176,13 +166,20 @@ class Jet2:
     def _chain(self, coeffs, *args) -> "Jet2":
         """Jet of f(self), where ``coeffs(v, *args)`` gives f, f', f'' at a
         float v.  A batched jet calls it at each point's value, in the same
-        float arithmetic as a scalar jet, so the two agree bit for bit;
-        numpy's own sinh, cosh and powers need not."""
+        float arithmetic as a scalar jet, so the two agree bit for bit:
+        the zero checks and Python's float ``**`` (which raises on overflow,
+        where numpy's power need not match libm) act on numbers, and the
+        first bad point raises what it raises alone."""
         v = self.value
         if isinstance(v, np.ndarray):
             f0, f1, f2 = np.array([coeffs(x, *args) for x in v.tolist()]).T
         else:
             f0, f1, f2 = coeffs(v, *args)
+        return self._compose(f0, f1, f2)
+
+    def _compose(self, f0, f1, f2) -> "Jet2":
+        """Jet of f(self) from f, f', f'' at the value: numbers, or arrays
+        over a batched jet's points."""
         g = self.grad
         return Jet2(f0, f1 * g, f1 * self.hess + f2 * (g[:, None] * g))
 
@@ -190,19 +187,31 @@ class Jet2:
         return self._chain(_reciprocal_coeffs)
 
     def sqrt(self) -> "Jet2":
+        # Over an array whose entries all exceed 1e-200, at once: np.sqrt is
+        # correctly rounded, as math.sqrt is, and v * sqrt(v) cannot
+        # underflow to 0, so each point equals the scalar jet bit for bit.
+        # Otherwise (a non-positive, NaN or tinier entry) one point at a time.
+        v = self.value
+        if isinstance(v, np.ndarray) and (v > 1e-200).all():
+            r = np.sqrt(v)
+            return self._compose(r, 0.5 / r, -0.25 / (v * r))
         return self._chain(_sqrt_coeffs)
 
     def sin(self) -> "Jet2":
-        return self._chain(_sin_coeffs)
+        s, c = _each(math.sin, self.value), _each(math.cos, self.value)
+        return self._compose(s, c, -s)
 
     def cos(self) -> "Jet2":
-        return self._chain(_cos_coeffs)
+        s, c = _each(math.sin, self.value), _each(math.cos, self.value)
+        return self._compose(c, -s, -c)
 
     def sinh(self) -> "Jet2":
-        return self._chain(_sinh_coeffs)
+        s, c = _each(math.sinh, self.value), _each(math.cosh, self.value)
+        return self._compose(s, c, s)
 
     def cosh(self) -> "Jet2":
-        return self._chain(_cosh_coeffs)
+        s, c = _each(math.sinh, self.value), _each(math.cosh, self.value)
+        return self._compose(c, s, c)
 
     def pow_int(self, exponent: int) -> "Jet2":
         return self._chain(_pow_coeffs, int(exponent))
@@ -344,14 +353,26 @@ def _nullspace_batch(rows: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarra
     ``rows`` of shape (P, dim - 1, dim) give unit vectors (P, dim), each
     equal bit for bit to ``nullspace_unit`` of its rows, and a mask of the
     points where ``nullspace_unit`` raises; their vectors are meaningless.
+
+    The rank check is screened in one array pass.  |v| and the bound from
+    sums of squares are within a few ulp of ``math.hypot``'s (each scaled
+    row has an entry of magnitude 1, so a nonzero bound is at least 1e-10,
+    far above where squares underflow), so a point more than a factor 2
+    from the threshold is decided there.  The others, and points with
+    non-finite values, take the single-point check in its float
+    arithmetic, so the mask is the same at every point.
     """
     weights, keep, signs = _cofactor_plan(rows.shape[2], form)
     peak = np.abs(rows).max(axis=2, keepdims=True)
     a = rows * weights / np.where(peak > 0.0, peak, 1.0)
     v = np.linalg.det(a[:, :, keep].transpose(0, 2, 1, 3)) * signs
-    # Per point, in the same float arithmetic as the single-point check.
-    bad = np.array([math.hypot(*vp) <= _RANK_RTOL * math.prod(math.hypot(*r) for r in ap)
-                    for vp, ap in zip(v.tolist(), a.tolist())])
+    v_norm = np.sqrt((v * v).sum(axis=1))
+    bound = _RANK_RTOL * np.sqrt((a * a).sum(axis=2)).prod(axis=1)
+    bad = v_norm < 0.5 * bound
+    unsure = ~(bad | (v_norm > 2.0 * bound)) | ~np.isfinite(v_norm) | ~np.isfinite(bound)
+    for i in np.flatnonzero(unsure).tolist():
+        bad[i] = (math.hypot(*v[i].tolist())
+                  <= _RANK_RTOL * math.prod(math.hypot(*r) for r in a[i].tolist()))
     norm2 = (weights * v * v).sum(axis=1)
     bad |= norm2 <= 0.0
     return v / np.sqrt(np.where(bad, 1.0, norm2))[:, None], bad

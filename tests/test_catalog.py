@@ -126,6 +126,27 @@ def test_unduloid_x_bit_equal_on_chart_batch_and_profile(h):
                 == p.x_second), si
 
 
+def _jet_bits(j, p=None) -> bytes:
+    """The bytes of a jet's value, gradient and Hessian, at point p of a batch."""
+    parts = (j.value, j.grad, j.hess) if p is None else (j.value[p], j.grad[:, p], j.hess[:, :, p])
+    return b"".join(np.ascontiguousarray(x, dtype=float).tobytes() for x in parts)
+
+
+@pytest.mark.parametrize("h, b", [(-1.3, 0.6), (0.8, 0.98)])
+@pytest.mark.parametrize("count", [2, 5, 12, cat._X_ARRAY_MIN - 1, cat._X_ARRAY_MIN, 1024])
+def test_unduloid_chart_batch_equals_single_points_bit_for_bit(h, b, count):
+    # Below _X_ARRAY_MIN points x(s) is taken per point, from it in one array
+    # pass; either way every component equals the single-point jets.
+    rng = np.random.default_rng(count)
+    u = np.stack([rng.uniform(-math.pi, 2.0 * math.pi, count),
+                  rng.uniform(0.0, 2.0 * math.pi, count)])
+    chart = cat.build_chart(cat.Unduloid(h, b))
+    batched = chart.jets(u, batch=True)
+    for p in range(count):
+        single = chart.jets(u[:, p])
+        assert [_jet_bits(j, p) for j in batched] == [_jet_bits(j) for j in single], p
+
+
 def _complete_e(k):
     """Complete elliptic integral E(k) by the arithmetic-geometric mean,
     independent of the Carlson forms under test."""

@@ -627,6 +627,26 @@ def test_batch_raises_the_chart_error_of_the_first_bad_point():
     assert str(batched.value) == str(single.value)
 
 
+@pytest.mark.parametrize("third", [0.0, -0.3])
+def test_batched_sqrt_error_is_the_one_shape_data_at_raises(third):
+    # The surface z = sqrt(x) over six points, the third with x <= 0: the
+    # batched sqrt raises there, and the batch falls back to a loop.
+    def ev(u):
+        x = Jet2.variable(u[0], 0, 2)
+        y = Jet2.variable(u[1], 1, 2)
+        return [x, y, x.sqrt()]
+
+    chart = ImmersionChart(AmbientSpace(0, 2), (Interval(-1, 1), Interval(-1, 1)), ev)
+    pts = [[0.5, 0.1], [0.4, 0.2], [third, 0.3], [0.3, 0.4], [-0.2, 0.5], [0.6, 0.6]]
+    with pytest.raises(DomainError) as single:
+        shape_data_at(chart, pts[2])
+    with pytest.raises(DomainError) as batched:
+        shape_data_batch(chart, pts)
+    assert type(batched.value) is type(single.value)
+    assert str(batched.value) == str(single.value)
+    assert str(single.value) == f"sqrt of a jet with non-positive value {third}"
+
+
 def test_batch_does_not_hide_an_unexpected_chart_failure():
     def ev(u):
         if u.ndim == 2:

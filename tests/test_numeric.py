@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcgeo.errors import DomainError, NonConvergence, RankDeficient
-from cmcgeo.numeric import Jet2, adaptive_quadrature, jacobi_eigh, nullspace_unit
+from cmcgeo.numeric import (
+    _RANK_RTOL,
+    Jet2,
+    _nullspace_batch,
+    adaptive_quadrature,
+    jacobi_eigh,
+    nullspace_unit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +132,10 @@ _BATCHED_OPS = {
     "pow_int": lambda a, b, k, m: [a.pow_int(m)],
 }
 _MODERATE = st.floats(-20.0, 20.0)  # sinh and cosh overflow past ~710
-_VALUES = {"sqrt": st.floats(0.01, 1e3), "sin": _MODERATE, "cos": _MODERATE,
+# Large sin and cos arguments take libm's argument reduction, where
+# numpy's own sin and cos are most likely to differ from it.
+_ANGLES = _MODERATE | st.floats(-1e6, 1e6)
+_VALUES = {"sqrt": st.floats(0.01, 1e3), "sin": _ANGLES, "cos": _ANGLES,
            "sinh": _MODERATE, "cosh": _MODERATE}
 
 
@@ -152,6 +162,21 @@ def test_batched_jet_ops_equal_per_point_ops_bit_for_bit(data, name, n, count, k
             assert _bits(got.value[p]) == _bits(want.value)
             assert _bits(got.grad[:, p]) == _bits(want.grad)
             assert _bits(got.hess[:, :, p]) == _bits(want.hess)
+
+
+def test_batched_sqrt_raises_what_the_first_bad_point_raises():
+    values = np.array([1.0, 2.5, -0.5, 0.0, 3.0, -2.0])
+    batched = Jet2.variable(values, 0, 2)
+    with pytest.raises(DomainError) as single:
+        Jet2.variable(-0.5, 0, 2).sqrt()
+    with pytest.raises(DomainError) as batch:
+        batched.sqrt()
+    assert str(batch.value) == str(single.value)
+    # Where v * sqrt(v) underflows to 0, a float divides by zero.
+    with pytest.raises(ZeroDivisionError):
+        Jet2.variable(1e-300, 0, 1).sqrt()
+    with pytest.raises(ZeroDivisionError):
+        Jet2.variable(np.array([1.0, 1e-300]), 0, 1).sqrt()
 
 
 # Independent oracle for the chain rule: polynomials as coefficient maps,
@@ -400,3 +425,40 @@ def test_nullspace_rejects_unknown_form_after_plan_is_cached():
     nullspace_unit(rows, "lorentzian")
     with pytest.raises(ValueError):
         nullspace_unit(rows, "bogus")
+
+
+def _raises(rows, form) -> bool:
+    try:
+        nullspace_unit(list(rows), form)
+    except (RankDeficient, DomainError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("form", ["euclidean", "lorentzian"])
+def test_batched_rank_mask_equals_where_nullspace_unit_raises(form):
+    # Rows (1, 0, 0, 0), (0.3, 0, 1, 0) and (1, e, 0, 0), each with largest
+    # entry 1: the cofactor vector is (0, 0, 0, -e) up to rounding, and the
+    # threshold t is 1e-10 times the product of the row norms, so e = k t
+    # puts the norm at k times the threshold.  Near k = 1 the verdict turns
+    # within a few ulp; near 1/2 and 2 the screen hands over to the exact check.
+    base = np.array([[1.0, 0.0, 0.0, 0.0], [0.3, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    t = _RANK_RTOL * math.prod(math.hypot(*r) for r in base.tolist())
+    near_one = [1.0 + d for d in (-1e-15, -4e-16, 0.0, 4e-16, 1e-15, 2e-15)]
+    ks = near_one + [0.25, 4.0, 1e3] + [k * (1.0 + d) for k in (0.5, 2.0)
+                                        for d in (-4e-16, 0.0, 4e-16)]
+    batch = []
+    for k in ks:
+        rows = base.copy()
+        rows[2, 1] = k * t
+        batch.append(rows)
+    batch.append(np.full((3, 4), math.nan))  # non-finite
+    batch.append(np.vstack([base[:2], np.zeros(4)]))  # a zero row: bound 0
+    batch.append(np.vstack([base[:2], base[1]]))  # repeated row: cofactors 0
+    batch.append(np.vstack([base[:2], [1.0, 0.0, 0.0, 1.0]]))  # well inside
+    rows = np.array(batch)
+    with np.errstate(invalid="ignore"):  # det of the NaN rows
+        _, mask = _nullspace_batch(rows, form)
+        want = [_raises(r, form) for r in rows]
+    assert mask.tolist() == want
+    assert len(set(want[:len(near_one)])) == 2  # both verdicts next to k = 1

@@ -182,6 +182,19 @@ class Unduloid(_Family):
             raise InvalidParameters("H must be nonzero")
         if not 0 < self.B < 1:
             raise InvalidParameters("B must lie in (0,1)")
+        # The period, 4H^2 and sup |Phi|^2 must be finite.  Then so are inf K
+        # (|inf K| is at most half of sup |Phi|^2), sup |Phi| and classify's
+        # bound (0 times 2H^2 + |H| sqrt(4H^2), which is 4H^2 exactly).  Python
+        # floats overflow to inf here without a warning; ** would raise.
+        h, b = self.H, self.B
+        if not math.isfinite(math.pi / abs(h)):
+            raise InvalidParameters("H is too small: the period pi/|H| overflows")
+        if not math.isfinite(4.0 * h * h):
+            raise InvalidParameters("H is too large: 4H^2 overflows")
+        sup_phi = math.sqrt(2.0) * abs(h) * (1.0 + b) / (1.0 - b)  # unduloid_sup_phi
+        if not math.isfinite(sup_phi * sup_phi):
+            raise InvalidParameters(
+                "H is too large for B: sup |Phi|^2 = 2H^2 (1+B)^2/(1-B)^2 overflows")
 
     @property
     def space(self) -> AmbientSpace:
@@ -560,18 +573,24 @@ def _profile_with(H: float, B: float, s, x) -> UnduloidProfile:
     y = root_q / (2.0 * abs_h)
     y_p = (H / abs_h) * B * cs / root_q
     y_pp = -2.0 * abs_h * B * (sn * q + B * cs * cs) / q_15
+    with np.errstate(over="ignore"):  # rejected below
+        k = 4.0 * H * H * B * (B + sn) * (1.0 + B * sn) / (q * q)
+    if not np.isfinite(k).all():  # the rounding of q near the neck, for B near 1
+        raise InvalidParameters("B is too close to 1: K overflows")
     return UnduloidProfile(
-        x=x, x_prime=x_p, x_second=x_pp, y=y, y_prime=y_p, y_second=y_pp,
-        K=4.0 * H * H * B * (B + sn) * (1.0 + B * sn) / (q * q),
+        x=x, x_prime=x_p, x_second=x_pp, y=y, y_prime=y_p, y_second=y_pp, K=k,
         kappa_mer=x_pp * y_p - x_p * y_pp, kappa_par=x_p / y)
 
 
 def unduloid_phi_norm(H: float, K):
     """|Phi| = sqrt(2 (H^2 - K)) from the unduloid's Gauss curvature K, a
     number or an array (``unduloid_profile(...).K``)."""
-    phi2 = 2.0 * (H * H - K)
+    with np.errstate(over="ignore"):  # rejected below
+        phi2 = 2.0 * (H * H - K)
     if np.any(phi2 < 0.0):  # only for B within about 1e-8 of 1
         raise InvalidParameters("B is too close to 1: K rounds above H^2")
+    if not np.isfinite(phi2).all():  # K near the neck may round below inf K
+        raise InvalidParameters("H is too large for B: |Phi|^2 = 2(H^2 - K) overflows")
     return np.sqrt(phi2) if isinstance(phi2, np.ndarray) else math.sqrt(phi2)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -96,6 +97,24 @@ def _emit(obj) -> None:
     sys.stdout.write(_jfmt(obj) + "\n")
 
 
+def _max(a: float, b: float) -> float:
+    """The larger of a and b, NaN if either is NaN (``max(0.0, nan)`` is 0.0)."""
+    return a if a >= b or a != a else b
+
+
+def _table_rows(columns, as_csv: bool) -> str:
+    """The rows of a ``cmc unduloid`` table from its finite columns, one
+    %-format per row: CSV lines, or the JSON objects of its "samples" list
+    joined by ", ".  ``'%.17g' % v`` is ``format(v, '.17g')``, what csv.writer
+    and ``_jfmt`` write for each value."""
+    if as_csv:
+        row, sep = ",".join(["%.17g"] * len(_TABLE_COLUMNS)) + "\n", ""
+    else:
+        row = "{" + ", ".join(f"{_jstr(k)}: %.17g" for k in _TABLE_COLUMNS) + "}"
+        sep = ", "
+    return sep.join([row % r for r in zip(*(col.tolist() for col in columns))])
+
+
 # --------------------------------------------------------------------------
 # shared record assembly
 # --------------------------------------------------------------------------
@@ -126,7 +145,7 @@ def _model_record(model, *, residual_axis: int, residual_cap: int,
     chart = catalog.build_chart(model)
     residual_max = 0.0
     for u in _residual_points(chart, residual_axis, residual_cap, seed):
-        residual_max = max(residual_max, abs(_residual(chart, u, h)))
+        residual_max = _max(residual_max, abs(_residual(chart, u, h)))
     return {
         "family": model.family,
         "n": n,
@@ -154,6 +173,8 @@ def _cmd_model(args) -> int:
     record = _model_record(model, residual_axis=args.grid, residual_cap=32,
                            seed=args.seed, h=_fd_step())
     _emit(record)
+    if math.isnan(record["residual_max"]):
+        raise CmcError("the Simons residual is not finite at a sample point")
     return _EXIT_OK
 
 
@@ -182,7 +203,7 @@ def _cmd_verify(args) -> int:
         checks["gauss_upper_bound_violation"] = 0.0
 
     def bump(key: str, value: float) -> None:
-        checks[key] = max(checks[key], float(abs(value)))
+        checks[key] = _max(checks[key], float(abs(value)))
 
     for u in geometry.sample_points(chart, args.grid, max_points=512):
         sd = geometry.shape_data_at(chart, u)
@@ -211,7 +232,7 @@ def _cmd_verify(args) -> int:
             kint = geometry.intrinsic_gauss_n2(chart, u, geometry.DEFAULT_FD_STEP if h is None else h)
             bump("intrinsic_gauss_consistency",
                  kint - ((c + sd.mean_curvature**2) - sd.traceless_norm2 / 2.0))
-            checks["gauss_upper_bound_violation"] = max(
+            checks["gauss_upper_bound_violation"] = _max(
                 checks["gauss_upper_bound_violation"],
                 float(kint - (sd.mean_curvature**2 + c)))
 
@@ -219,7 +240,7 @@ def _cmd_verify(args) -> int:
         branch = bounds.classify(model, inv).branch
     except NonElliptic:
         branch = "non-elliptic"
-    worst = max(checks.values())
+    worst = functools.reduce(_max, checks.values())
     summary = {
         "model": catalog.model_to_text(model),
         "grid": args.grid,
@@ -230,6 +251,9 @@ def _cmd_verify(args) -> int:
         "pass": bool(worst <= args.tol),
     }
     _emit(summary)
+    if math.isnan(worst):
+        raise CmcError("a check is not finite: "
+                       + ", ".join(k for k, v in checks.items() if math.isnan(v)))
     return _EXIT_OK if worst <= args.tol else _EXIT_RESIDUAL
 
 
@@ -281,21 +305,20 @@ def _cmd_unduloid(args) -> int:
     s_grid = np.linspace(0.0, period, args.samples, endpoint=False)
     p = catalog.unduloid_profile(h, b, s_grid)
     columns = [s_grid, p.x, p.y, p.y_prime, p.y_second, p.K, catalog.unduloid_phi_norm(h, p.K)]
-    values = list(zip(*(col.tolist() for col in columns)))
+    if not np.isfinite(columns).all():
+        raise CmcError("the unduloid table has a non-finite entry")
     if args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
-        writer.writerows([format(v, ".17g") for v in row] for row in values)
+        sys.stdout.write(",".join(_TABLE_COLUMNS) + "\n" + _table_rows(columns, True))
     else:
-        _emit({
+        header = _jfmt({
             "H": h,
             "B": b,
             "solved_from_eps": args.solve_eps,
             "inf_K": catalog.unduloid_inf_gauss(h, b),
             "sup_phi": catalog.unduloid_sup_phi(h, b),
             "alpha_H": math.sqrt(2.0) * abs(h),
-            "samples": [dict(zip(_TABLE_COLUMNS, row)) for row in values],
         })
+        sys.stdout.write(f'{header[:-1]}, "samples": [{_table_rows(columns, False)}]}}\n')
     return _EXIT_OK
 
 
@@ -386,9 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call of a process and
+    reused: parsing leaves no state in the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify" and args.grid < 4:
             raise _UsageError("--grid must be at least 4")

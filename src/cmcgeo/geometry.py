@@ -41,7 +41,7 @@ from .errors import (
 # perfbench/tracing.py patches jacobi_eigh and nullspace_unit by name, both
 # here and in numeric, so they stay imported under these names.
 from .numeric import Jet2, _nullspace_batch, jacobi_eigh, nullspace_unit
-from .spaceform import AmbientSpace, metric_weights, validate_point
+from .spaceform import AmbientSpace, metric_weights, validate_point, validate_points
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -347,8 +347,7 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     # A point that fails a check of shape_data_at, or may, is recomputed by it.
     bad = ~(np.isfinite(pos).all(axis=1) & np.isfinite(d1).all(axis=(1, 2))
             & np.isfinite(d2).all(axis=(1, 2, 3)))
-    if space.c != 0:
-        bad |= [not validate_point(space, x, 1e-10) for x in pos]
+    bad |= ~validate_points(space, pos, 1e-10)
 
     g = np.einsum("m,pmi,pmj->pij", w, d1, d1)
     det_g = np.linalg.det(g)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import SizeMismatch
 
-__all__ = ["AmbientSpace", "bilinear_form", "metric_weights", "validate_point"]
+__all__ = ["AmbientSpace", "bilinear_form", "metric_weights", "validate_point",
+           "validate_points"]
 
 
 @dataclass(frozen=True)
@@ -76,3 +77,33 @@ def validate_point(space: AmbientSpace, x, tol: float) -> bool:
     if space.c == 1:
         return abs(q - 1.0) <= tol
     return abs(q + 1.0) <= tol and x[0] > 0.0
+
+
+def validate_points(space: AmbientSpace, pos, tol: float) -> np.ndarray:
+    """``validate_point`` at each row of ``pos`` (shape (P, ambient_dim)), as
+    a boolean mask equal to it at every row.
+
+    <x,x> is summed for all rows in one array pass, in another order than
+    ``validate_point``'s dot product, so the two sums may differ by up to
+    about dim eps |x|^2.  A row is decided there when |<x,x> - c| is more
+    than a factor 2 from tol and twice that difference is below tol/2; the
+    other rows, non-finite ones included, take ``validate_point``.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    pos = np.asarray(pos, dtype=float)
+    dim = space.ambient_dim
+    if pos.ndim != 2 or pos.shape[1] != dim:
+        raise SizeMismatch(f"points of shape {pos.shape} for ambient dimension {dim}")
+    if space.c == 0:
+        return np.ones(len(pos), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are unsure
+        sq = pos * pos
+        dev = np.abs(sq @ metric_weights(space) - space.c)
+        slack = 2.0 * dim * np.finfo(float).eps * sq.sum(axis=1)
+    near = dev < 0.5 * tol
+    unsure = ~(near | (dev > 2.0 * tol)) | ~(slack < 0.5 * tol)
+    on = near & (pos[:, 0] > 0.0) if space.c == -1 else near
+    for i in np.flatnonzero(unsure).tolist():
+        on[i] = validate_point(space, pos[i], tol)
+    return on

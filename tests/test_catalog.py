@@ -1,15 +1,18 @@
 import ast
 import dataclasses
 import math
+import sys
 import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmcgeo.catalog as cat
-from cmcgeo.bounds import BoundContext, gap_threshold
+from cmcgeo.bounds import BoundContext, classify, gap_threshold
 from cmcgeo.errors import InvalidParameters, NonElliptic, OutOfRange, ParseError
 from cmcgeo.geometry import sample_points, shape_data_at
 from cmcgeo.spaceform import validate_point
@@ -308,12 +311,14 @@ def test_unduloid_helpers_reject_non_finite_s_without_warnings(name, as_array, v
 
 @pytest.mark.parametrize("name", sorted(_S_HELPERS))
 def test_unduloid_x_rejects_overflowing_phase(name):
-    # H*s itself overflows, or only 2Hs does
-    for h, s in ((1e300, 1e10), (1.0, 1.5e308)):
+    # H*s itself overflows, or only 2Hs does; at H = 1e300 the model is
+    # rejected first, as 4H^2 overflows
+    for h, s, message in ((1e150, 1e300, "H\\*s overflows"), (1.0, 1.5e308, "H\\*s overflows"),
+                          (1e300, 1e10, r"^H is too large: 4H\^2 overflows$")):
         for arg in (s, np.array([0.0, s])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(InvalidParameters, match="H\\*s overflows"):
+                with pytest.raises(InvalidParameters, match=message):
                     _S_HELPERS[name](h, 0.5, arg)
 
 
@@ -341,6 +346,80 @@ def test_unduloid_phi_norm_rejects_K_rounded_above_H_squared():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameters, match=r"K rounds above H\^2$"):
                 cat.unduloid_phi_norm(1.0, k)
+
+
+@pytest.mark.parametrize("h, b, message", [
+    (1e200, 0.3, r"^H is too large: 4H\^2 overflows$"),
+    (-1e154, 0.5, r"^H is too large: 4H\^2 overflows$"),
+    # 4H^2 = 6.1e307 and inf K = -8H^2 = -1.2e308 are finite, sup |Phi|^2 = 18H^2 is not
+    (3.9e153, 0.5, r"^H is too large for B: sup \|Phi\|\^2 = 2H\^2 \(1\+B\)\^2/\(1-B\)\^2 overflows$"),
+    (1e153, 0.99, r"^H is too large for B: sup \|Phi\|\^2 "),
+    (1e-320, 0.5, r"^H is too small: the period pi/\|H\| overflows$"),
+])
+def test_unduloid_rejects_parameters_whose_closed_forms_overflow(h, b, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameters, match=message):
+            cat.Unduloid(h, b)
+        with pytest.raises(InvalidParameters, match=message):
+            cat.parse_model(f"unduloid:H={h!r},B={b!r}")
+
+
+@pytest.mark.parametrize("h, b", [(3.1e153, 0.5), (-6.7e153, 1e-300), (5e153, 0.1)])
+def test_unduloid_admits_large_H_with_finite_closed_forms(h, b):
+    model = cat.Unduloid(h, b)
+    verdict = classify(model)
+    assert all(math.isfinite(v) for v in (
+        verdict.sup_phi, verdict.gap_threshold, verdict.inf_scalar, verdict.scalar_bound,
+        verdict.inf_gauss))
+    s = np.linspace(0.0, math.pi / abs(h), 64, endpoint=False)
+    p = cat.unduloid_profile(h, b, s)
+    assert np.isfinite(cat.unduloid_phi_norm(h, p.K)).all()
+    assert all(np.isfinite(getattr(p, field)).all() for field in _PROFILE_FIELDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(1e-300, 1.0, exclude_max=True),
+                 st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+                 st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k)),
+       st.floats(0.9, 1.0 + 1e-9), st.booleans())
+def test_unduloid_table_is_finite_or_rejected_without_warnings(b, edge, negative):
+    # H up to just past where 4H^2 or sup |Phi|^2 overflows.  Where both are
+    # finite, K near the neck can still round far below inf K for B near 1;
+    # the profile and |Phi| reject that themselves.
+    top = min(math.sqrt(sys.float_info.max / 4.0),
+              math.sqrt(sys.float_info.max / 2.0) * (1.0 - b) / (1.0 + b))
+    h = (-edge if negative else edge) * top
+    s = np.linspace(0.0, math.pi / abs(h), 64, endpoint=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = cat.Unduloid(h, b)
+            p = cat.unduloid_profile(h, b, s)
+            phi = cat.unduloid_phi_norm(h, p.K)
+        except InvalidParameters:
+            return
+        verdict = classify(model)
+    assert np.isfinite([p.x, p.y, p.y_prime, p.y_second, p.K, phi]).all()
+    assert math.isfinite(verdict.inf_scalar) and math.isfinite(verdict.scalar_bound)
+
+
+def test_unduloid_profile_rejects_overflows_near_the_neck():
+    # sup |Phi|^2 is finite for both; the rounding of q near the neck makes K
+    # overflow, or |Phi|^2 = 2(H^2 - K) at the neck's sample
+    for h, b, message in ((-8.728168203936594e145, 0.9999999815480792, r"K overflows$"),
+                          (7.199063013322606e146, 0.9999998478070904,
+                           r"^H is too large for B: \|Phi\|\^2 = 2\(H\^2 - K\) overflows$")):
+        s = np.linspace(0.0, math.pi / abs(h), 64, endpoint=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match=message):
+                cat.unduloid_phi_norm(h, cat.unduloid_profile(h, b, s).K)
+    for k in (-1.7e308, np.array([0.0, -1.7e308])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameters, match=r"2\(H\^2 - K\) overflows$"):
+                cat.unduloid_phi_norm(1e154, k)
 
 
 def test_unduloid_gauss_curvature_values():

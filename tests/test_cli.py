@@ -5,12 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmcgeo
 import cmcgeo.catalog as cat
+from cmcgeo import cli
 from cmcgeo.cli import _jfmt, main
 from cmcgeo.errors import InvalidParameters
 
@@ -426,3 +430,119 @@ def test_console_script_runs():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert rec["branch"] == "umbilical"
+
+
+# ---------------------------------------------------------------------------
+# unduloid table rows, the cached parser, overflow and NaN verdicts
+# ---------------------------------------------------------------------------
+
+_EXTREME = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1.7976931348623155e308, 0.1, 1e16, 1e17)
+_FINITE = st.one_of(st.sampled_from(_EXTREME),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rows: st.lists(
+    st.lists(_FINITE, min_size=rows, max_size=rows), min_size=7, max_size=7)))
+def test_table_rows_equal_csv_writer_and_jfmt(columns):
+    columns = [np.array(col) for col in columns]
+    rows = list(zip(*(col.tolist() for col in columns)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([format(v, ".17g") for v in row]
+                                                    for row in rows)
+    assert cli._table_rows(columns, True) == buf.getvalue()
+    samples = [dict(zip(cli._TABLE_COLUMNS, row)) for row in rows]
+    text = cli._table_rows(columns, False)
+    assert "[" + text + "]" == _jfmt(samples)
+    # '-0' and '0' read back as -0.0 and 0.0 once integers parse as floats
+    loaded = json.loads("[" + text + "]", parse_int=float)
+    assert [[v.hex() for v in d.values()] for d in loaded] \
+        == [[float(v).hex() for v in row] for row in rows]
+
+
+def _fresh_and_cached(argvs, capsys):
+    """(code, stdout, stderr) of each argv on a parser built for it alone, then
+    of all of them in turn on one cached parser; a usage error is code 2."""
+    def one(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(one(argv))
+    cli._parser.cache_clear()
+    cached = [one(argv) for argv in argvs]
+    return fresh, cached
+
+
+def test_main_reuses_one_parser_and_behaves_as_on_a_fresh_one(capsys):
+    argvs = [("unduloid", "--H", "1", "--B", "0.5", "--samples", "8"),
+             ("unduloid", "--H", "0.7", "--solve-eps", "5", "--samples", "8", "--csv"),
+             ("unduloid", "--H", "1", "--B", "0.5", "--solve-eps", "5"),
+             ("unduloid", "--H", "1", "--B", "0.5", "--samples", "4", "--csv"),
+             ("verify", "clifford:n=2,k=1", "--grid", "4")]
+    fresh, cached = _fresh_and_cached(argvs, capsys)
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0]
+    assert json.loads(cached[0][1])["solved_from_eps"] is None
+    assert cached[3][1].count("\n") == 5 and json.loads(cached[4][1])["pass"] is True
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
+
+def test_no_parser_is_built_at_import():
+    src = os.path.dirname(os.path.dirname(cmcgeo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cmcgeo.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("unduloid", "--H", "1e200", "--B", "0.3"), "H is too large: 4H^2 overflows"),
+    (("unduloid", "--H", "1e200", "--B", "0.3", "--csv"), "H is too large: 4H^2 overflows"),
+    (("model", "unduloid:H=1e200,B=0.3", "--grid", "1"), "H is too large: 4H^2 overflows"),
+    (("unduloid", "--H", "1e154", "--B", "0.5"), "H is too large: 4H^2 overflows"),
+    (("unduloid", "--H", "1e153", "--B", "0.99"),
+     "H is too large for B: sup |Phi|^2 = 2H^2 (1+B)^2/(1-B)^2 overflows"),
+    (("unduloid", "--H", "1e-320", "--B", "0.5"), "H is too small: the period pi/|H| overflows"),
+])
+def test_overflowing_unduloid_exits_3_with_one_line(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_max_propagates_nan():
+    nan = math.nan
+    assert cli._max(0.0, 1.0) == 1.0 and cli._max(2.0, -1.0) == 2.0
+    assert cli._max(-0.0, 0.0) == 0.0
+    for a, b in ((0.0, nan), (nan, 0.0), (nan, nan), (math.inf, nan), (nan, -math.inf)):
+        assert math.isnan(cli._max(a, b))
+    assert max(0.0, nan) == 0.0  # what the builtin does
+
+
+def test_verify_with_a_nan_residual_is_not_a_pass(capsys):
+    # r = 1e100: the Simons residual is NaN at every grid point
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run(capsys, "verify", "umbilical-sphere:n=3,c=0,r=1e100", "--grid", "4")
+    summary = json.loads(out)
+    assert summary["checks"]["simons_max"] is None
+    assert summary["max_residual"] is None and summary["pass"] is False
+    assert code == 5
+    assert err == "error: CmcError: a check is not finite: simons_max\n"
+
+
+def test_model_with_a_nan_residual_exits_5(capsys):
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run(capsys, "model", "euclidean-product:n=3,k=1,r=1e200", "--grid", "2")
+    assert json.loads(out)["residual_max"] is None
+    assert code == 5
+    assert err == "error: CmcError: the Simons residual is not finite at a sample point\n"

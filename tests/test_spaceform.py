@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import cmcgeo.spaceform as spaceform
 from cmcgeo.errors import SizeMismatch
-from cmcgeo.spaceform import AmbientSpace, bilinear_form, metric_weights, validate_point
+from cmcgeo.spaceform import (AmbientSpace, bilinear_form, metric_weights, validate_point,
+                              validate_points)
 
 
 def test_ambient_dimensions():
@@ -76,3 +78,78 @@ def test_validate_point_flat_always_true():
 def test_metric_weights():
     assert np.array_equal(metric_weights(AmbientSpace(0, 2)), [1, 1, 1])
     assert np.array_equal(metric_weights(AmbientSpace(-1, 2)), [-1, 1, 1, 1])
+
+
+_TOL = 1e-10
+
+
+def _rows_near_the_tolerance(c: int, n: int, rng) -> np.ndarray:
+    """Rows with <x,x> - c at 0, +-0.5, +-1 and +-2 times the tolerance, at
+    several sizes, each with its neighbours one and two ulps away in one
+    coordinate; then rows on the wrong sheet and non-finite rows."""
+    d = n + 2
+    rows = []
+    for size in (0.0, 0.3, 1.0, 1e3, 1e5, 1e7):
+        for k in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+            v = rng.normal(size=d)
+            if c == 1:
+                x = v / np.linalg.norm(v) * math.sqrt(1.0 + k * _TOL)
+            else:
+                y = v[1:] / np.linalg.norm(v[1:]) * size
+                x = np.r_[math.sqrt(1.0 + size * size - k * _TOL), y]
+            rows.append(x)
+            for steps in (1, 2):
+                for toward in (math.inf, -math.inf):
+                    nudged = x.copy()
+                    for _ in range(steps):
+                        nudged[0] = np.nextafter(nudged[0], toward)
+                    rows.append(nudged)
+    rows = np.array(rows)
+    wrong_sheet = rows[:4] * np.r_[-1.0, np.ones(d - 1)]
+    bad = np.ones((5, d))
+    bad[0, 1], bad[1, 0], bad[2, 2] = math.nan, math.inf, -math.inf
+    bad[3, :2] = math.inf, -math.inf
+    bad[4] = math.nan
+    return np.concatenate([rows, wrong_sheet, bad])
+
+
+@pytest.mark.parametrize("c", [1, -1])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_validate_points_equals_validate_point_at_every_row(c, n):
+    space = AmbientSpace(c, n)
+    rows = _rows_near_the_tolerance(c, n, np.random.default_rng(17 + n))
+    with np.errstate(invalid="ignore"):  # <x,x> of a row with inf and -inf is NaN
+        mask = validate_points(space, rows, _TOL)
+        expected = [validate_point(space, x, _TOL) for x in rows]
+    assert mask.dtype == bool
+    assert mask.tolist() == expected
+    assert mask.any() and not mask.all()
+
+
+def test_validate_points_checks_few_rows_one_by_one(monkeypatch):
+    calls = []
+    real = spaceform.validate_point
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(spaceform, "validate_point", counted)
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(500, 5))
+    on = v / np.linalg.norm(v, axis=1, keepdims=True)
+    assert validate_points(AmbientSpace(1, 3), on, _TOL).all()
+    assert not validate_points(AmbientSpace(1, 3), 1.1 * on, _TOL).any()
+    assert calls == []
+    rows = np.array([[1.0, 0, 0, 0], [math.nan, 0, 0, 0], [math.sqrt(1.0 + 0.9 * _TOL), 0, 0, 0]])
+    assert validate_points(AmbientSpace(1, 2), rows, _TOL).tolist() == [True, False, True]
+    assert len(calls) == 2
+
+
+def test_validate_points_flat_and_bad_arguments():
+    assert validate_points(AmbientSpace(0, 2), [[5.0, 6.0, 7.0], [math.nan] * 3], _TOL).tolist() \
+        == [True, True]
+    with pytest.raises(SizeMismatch):
+        validate_points(AmbientSpace(1, 2), [[1.0, 0.0, 0.0]], _TOL)
+    with pytest.raises(ValueError):
+        validate_points(AmbientSpace(1, 2), [[1.0, 0.0, 0.0, 0.0]], 0.0)

@@ -191,7 +191,7 @@ class Unduloid(_Family):
             raise InvalidParameters("H is too small: the period pi/|H| overflows")
         if not math.isfinite(4.0 * h * h):
             raise InvalidParameters("H is too large: 4H^2 overflows")
-        sup_phi = math.sqrt(2.0) * abs(h) * (1.0 + b) / (1.0 - b)  # unduloid_sup_phi
+        sup_phi = _sup_phi(h, b)
         if not math.isfinite(sup_phi * sup_phi):
             raise InvalidParameters(
                 "H is too large for B: sup |Phi|^2 = 2H^2 (1+B)^2/(1-B)^2 overflows")
@@ -604,6 +604,11 @@ def unduloid_inf_gauss(H: float, B: float) -> float:
 def unduloid_sup_phi(H: float, B: float) -> float:
     """Supremum of |Phi| over the surface: sqrt(2)|H|(1+B)/(1-B)."""
     Unduloid(H, B)
+    return _sup_phi(H, B)
+
+
+def _sup_phi(H: float, B: float) -> float:
+    """``unduloid_sup_phi`` unchecked, for ``Unduloid._check``."""
     return math.sqrt(2.0) * abs(H) * (1.0 + B) / (1.0 - B)
 
 

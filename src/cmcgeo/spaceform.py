@@ -80,8 +80,9 @@ def validate_point(space: AmbientSpace, x, tol: float) -> bool:
 
 
 def validate_points(space: AmbientSpace, pos, tol: float) -> np.ndarray:
-    """``validate_point`` at each row of ``pos`` (shape (P, ambient_dim)), as
-    a boolean mask equal to it at every row.
+    """``validate_point`` at each row of ``pos`` (shape (P, ambient_dim)) on
+    the sphere or the hyperboloid, as a boolean mask equal to it at every
+    row.  Flat space imposes nothing and is refused here.
 
     <x,x> is summed for all rows in one array pass, in another order than
     ``validate_point``'s dot product, so the two sums may differ by up to
@@ -91,12 +92,12 @@ def validate_points(space: AmbientSpace, pos, tol: float) -> np.ndarray:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if space.c == 0:
+        raise ValueError("flat space imposes nothing on a point")
     pos = np.asarray(pos, dtype=float)
     dim = space.ambient_dim
     if pos.ndim != 2 or pos.shape[1] != dim:
         raise SizeMismatch(f"points of shape {pos.shape} for ambient dimension {dim}")
-    if space.c == 0:
-        return np.ones(len(pos), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are unsure
         sq = pos * pos
         dev = np.abs(sq @ metric_weights(space) - space.c)

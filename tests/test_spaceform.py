@@ -147,8 +147,8 @@ def test_validate_points_checks_few_rows_one_by_one(monkeypatch):
 
 
 def test_validate_points_flat_and_bad_arguments():
-    assert validate_points(AmbientSpace(0, 2), [[5.0, 6.0, 7.0], [math.nan] * 3], _TOL).tolist() \
-        == [True, True]
+    with pytest.raises(ValueError):
+        validate_points(AmbientSpace(0, 2), [[5.0, 6.0, 7.0], [math.nan] * 3], _TOL)
     with pytest.raises(SizeMismatch):
         validate_points(AmbientSpace(1, 2), [[1.0, 0.0, 0.0]], _TOL)
     with pytest.raises(ValueError):

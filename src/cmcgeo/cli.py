@@ -24,6 +24,7 @@ import csv
 import functools
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _jstr  # what json.dumps(str) returns
@@ -406,6 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.set_defaults(fn=_cmd_report)
+    # argparse takes "-1e-3" for an option: its (private) negative-number
+    # pattern has no exponent.  Each parser matches its own arguments.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

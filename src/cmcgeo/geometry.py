@@ -129,14 +129,16 @@ class ImmersionChart:
         return self.space.n
 
     def jets(self, u, *, batch: bool = False) -> list[Jet2]:
-        """``eval_jets`` at one point of shape (n,), or with ``batch`` at
-        the P points of an array of shape (n, P)."""
+        """``eval_jets`` at one point of shape (n,), or with ``batch`` at the
+        P points of an array (n, P); a non-finite coordinate raises DomainError."""
         u = np.asarray(u, dtype=float)
         if batch:
             if u.ndim != 2 or u.shape[0] != self.dim:
                 raise SizeMismatch(f"chart points of shape {u.shape}, expected ({self.dim}, P)")
         elif u.shape != (self.dim,):
             raise SizeMismatch(f"chart point of shape {u.shape}, expected ({self.dim},)")
+        if not np.isfinite(u).all():
+            raise DomainError("chart point coordinates must be finite")
         jets = self.eval_jets(u)
         if len(jets) != self.space.ambient_dim:
             raise SizeMismatch("chart evaluation returned wrong number of components")
@@ -328,7 +330,7 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     Every returned ShapeData equals ``shape_data_at`` at its point bit for
     bit, and the call raises what a loop of ``shape_data_at`` would raise
     first: a point that fails a check, or whose data is not finite, is
-    evaluated again by ``shape_data_at``, in order, after the pass.  Where
+    recomputed by ``shape_data_at``, in order, after the pass.  Where
     ``_batched_arrays`` gives no batch (a single point, a chart written for
     one point, or a chart error), every point is evaluated by
     ``shape_data_at``.
@@ -344,7 +346,7 @@ def shape_data_batch(chart: ImmersionChart, points) -> list[ShapeData]:
     pos, d1, d2 = arrays
     w = metric_weights(space)
 
-    # A point that fails a check of shape_data_at, or may, is recomputed by it.
+    # A point that fails a check of shape_data_at is recomputed by it.
     bad = ~(np.isfinite(pos).all(axis=1) & np.isfinite(d1).all(axis=(1, 2))
             & np.isfinite(d2).all(axis=(1, 2, 3)))
     if space.c != 0:

@@ -22,12 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, RankDeficient
 
-__all__ = [
-    "Jet2",
-    "jacobi_eigh",
-    "adaptive_quadrature",
-    "nullspace_unit",
-]
+__all__ = ["Jet2", "jacobi_eigh", "adaptive_quadrature", "nullspace_unit"]
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +301,42 @@ def _cofactor_plan(dim: int, form: str) -> tuple[np.ndarray, np.ndarray, np.ndar
     return weights, keep, (-1.0) ** (dim - 1 + np.arange(dim))
 
 
+def _sum_sq(cols, lorentzian: bool = False):
+    """Sum of the squares of ``cols``, the first negated if ``lorentzian``,
+    added left to right: ``cols`` is one point's floats or a batch's columns,
+    and each point gets the same bits from both (numpy's own sums take
+    another order over a row of 8 or more entries than over a 1-D array)."""
+    cols = iter(cols)
+    c = next(cols)
+    t = -(c * c) if lorentzian else c * c
+    for c in cols:
+        t = t + c * c
+    return t
+
+
+def _rank_deficient(v, a):
+    """|v| <= 1e-10 prod |a_i| (the Hadamard bound), compared squared, as
+    ``_sum_sq`` for one point or a batch; each |a_i|^2 >= 1 (entry 1)."""
+    bound = _RANK_RTOL * _RANK_RTOL
+    for r in a:
+        bound = bound * _sum_sq(r)
+    return _sum_sq(v) <= bound
+
+
+def _cofactors(rows: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
+    """The form-weighted rows a_i, each scaled to largest entry 1, and their
+    cofactor vector, over any leading axes of ``rows`` (..., dim - 1, dim)."""
+    dim = rows.shape[-1]
+    weights, keep, signs = _cofactor_plan(dim, form)
+    if rows.shape[-2] != dim - 1:
+        raise RankDeficient(f"{rows.shape[-2]} rows in dimension {dim}, expected {dim - 1}")
+    # A positive scale keeps direction and sign, and it halves the minors'
+    # rounding, which the identity residual's second differences amplify.
+    peak = np.abs(rows).max(axis=-1, keepdims=True)
+    a = rows * weights / np.where(peak > 0.0, peak, 1.0)
+    return a, np.linalg.det(a[..., keep].swapaxes(-3, -2)) * signs
+
+
 def nullspace_unit(rows: Sequence[np.ndarray], form: str = "euclidean") -> np.ndarray:
     """Unit vector orthogonal, under the given bilinear form, to every row.
 
@@ -326,22 +357,11 @@ def nullspace_unit(rows: Sequence[np.ndarray], form: str = "euclidean") -> np.nd
     mat = np.array(rows, dtype=float)
     if mat.ndim != 2:
         raise ValueError("rows must form a 2-d array")
-    nrows, dim = mat.shape
-    weights, keep, signs = _cofactor_plan(dim, form)
-    if nrows != dim - 1:
-        raise RankDeficient(f"{nrows} rows in dimension {dim}, expected {dim - 1}")
-
-    # Each row scaled to largest entry 1: a positive scale keeps direction
-    # and sign, and it halves the minors' rounding, which the identity
-    # residual's second differences amplify.
-    peak = np.abs(mat).max(axis=1, keepdims=True)
-    a = mat * weights / np.where(peak > 0.0, peak, 1.0)
-    minors = np.linalg.det(a[:, keep].transpose(1, 0, 2))
-    v = minors * signs
-    if math.hypot(*v.tolist()) <= _RANK_RTOL * math.prod(math.hypot(*r) for r in a.tolist()):
+    a, v = _cofactors(mat, form)
+    entries = v.tolist()
+    if _rank_deficient(entries, a.tolist()):
         raise RankDeficient("rows do not span a codimension-one subspace")
-
-    norm2 = float((weights * v * v).sum())
+    norm2 = _sum_sq(entries, form == "lorentzian")
     if norm2 <= 0.0:
         raise DomainError("orthogonal complement is not spacelike")
     return v / math.sqrt(norm2)
@@ -352,27 +372,10 @@ def _nullspace_batch(rows: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarra
 
     ``rows`` of shape (P, dim - 1, dim) give unit vectors (P, dim), each
     equal bit for bit to ``nullspace_unit`` of its rows, and a mask of the
-    points where ``nullspace_unit`` raises; their vectors are meaningless.
-
-    The rank check is screened in one array pass.  |v| and the bound from
-    sums of squares are within a few ulp of ``math.hypot``'s (each scaled
-    row has an entry of magnitude 1, so a nonzero bound is at least 1e-10,
-    far above where squares underflow), so a point more than a factor 2
-    from the threshold is decided there.  The others, and points with
-    non-finite values, take the single-point check in its float
-    arithmetic, so the mask is the same at every point.
+    points where that raises, from the same sums (vectors meaningless).
     """
-    weights, keep, signs = _cofactor_plan(rows.shape[2], form)
-    peak = np.abs(rows).max(axis=2, keepdims=True)
-    a = rows * weights / np.where(peak > 0.0, peak, 1.0)
-    v = np.linalg.det(a[:, :, keep].transpose(0, 2, 1, 3)) * signs
-    v_norm = np.sqrt((v * v).sum(axis=1))
-    bound = _RANK_RTOL * np.sqrt((a * a).sum(axis=2)).prod(axis=1)
-    bad = v_norm < 0.5 * bound
-    unsure = ~(bad | (v_norm > 2.0 * bound)) | ~np.isfinite(v_norm) | ~np.isfinite(bound)
-    for i in np.flatnonzero(unsure).tolist():
-        bad[i] = (math.hypot(*v[i].tolist())
-                  <= _RANK_RTOL * math.prod(math.hypot(*r) for r in a[i].tolist()))
-    norm2 = (weights * v * v).sum(axis=1)
+    a, v = _cofactors(rows, form)
+    bad = _rank_deficient(v.T, a.transpose(1, 2, 0))
+    norm2 = _sum_sq(v.T, form == "lorentzian")
     bad |= norm2 <= 0.0
     return v / np.sqrt(np.where(bad, 1.0, norm2))[:, None], bad

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeMismatch
+from .numeric import _sum_sq
 
 __all__ = ["AmbientSpace", "bilinear_form", "metric_weights", "validate_point",
            "validate_points"]
@@ -62,6 +63,13 @@ def bilinear_form(space: AmbientSpace, v, w) -> float:
     return float(np.dot(metric_weights(space) * v, w))
 
 
+def _on_model(space: AmbientSpace, cols, tol: float):
+    """|<x,x> - c| <= tol, and x0 > 0 on the hyperboloid, for one point's
+    floats or a batch's columns (``numeric._sum_sq``)."""
+    q = _sum_sq(cols, space.c == -1)
+    return (abs(q - space.c) <= tol) & ((space.c == 1) | (cols[0] > 0.0))
+
+
 def validate_point(space: AmbientSpace, x, tol: float) -> bool:
     """Whether x lies on the model hypersurface of the space form.
 
@@ -71,24 +79,13 @@ def validate_point(space: AmbientSpace, x, tol: float) -> bool:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x = _check_size(space, x)
-    if space.c == 0:
-        return True
-    q = bilinear_form(space, x, x)
-    if space.c == 1:
-        return abs(q - 1.0) <= tol
-    return abs(q + 1.0) <= tol and x[0] > 0.0
+    return space.c == 0 or _on_model(space, x.tolist(), tol)
 
 
 def validate_points(space: AmbientSpace, pos, tol: float) -> np.ndarray:
     """``validate_point`` at each row of ``pos`` (shape (P, ambient_dim)) on
     the sphere or the hyperboloid, as a boolean mask equal to it at every
-    row.  Flat space imposes nothing and is refused here.
-
-    <x,x> is summed for all rows in one array pass, in another order than
-    ``validate_point``'s dot product, so the two sums may differ by up to
-    about dim eps |x|^2.  A row is decided there when |<x,x> - c| is more
-    than a factor 2 from tol and twice that difference is below tol/2; the
-    other rows, non-finite ones included, take ``validate_point``.
+    row by the same arithmetic.  Flat space imposes nothing: refused here.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -98,13 +95,5 @@ def validate_points(space: AmbientSpace, pos, tol: float) -> np.ndarray:
     dim = space.ambient_dim
     if pos.ndim != 2 or pos.shape[1] != dim:
         raise SizeMismatch(f"points of shape {pos.shape} for ambient dimension {dim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are unsure
-        sq = pos * pos
-        dev = np.abs(sq @ metric_weights(space) - space.c)
-        slack = 2.0 * dim * np.finfo(float).eps * sq.sum(axis=1)
-    near = dev < 0.5 * tol
-    unsure = ~(near | (dev > 2.0 * tol)) | ~(slack < 0.5 * tol)
-    on = near & (pos[:, 0] > 0.0) if space.c == -1 else near
-    for i in np.flatnonzero(unsure).tolist():
-        on[i] = validate_point(space, pos[i], tol)
-    return on
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or NaN row fails
+        return _on_model(space, pos.T, tol)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cmcgeo.catalog as cat
 from cmcgeo.bounds import BoundContext, classify, gap_threshold
-from cmcgeo.errors import InvalidParameters, NonElliptic, OutOfRange, ParseError
+from cmcgeo.errors import DomainError, InvalidParameters, NonElliptic, OutOfRange, ParseError
 from cmcgeo.geometry import sample_points, shape_data_at
 from cmcgeo.spaceform import validate_point
 
@@ -298,14 +298,22 @@ def test_unduloid_helpers_reject_non_finite_H_and_B(name, s, value):
         _HELPERS[name](1.0, value, s)
 
 
+_NON_FINITE_S = {
+    "profile": (InvalidParameters, r"^s must be finite$"),
+    # ImmersionChart.jets rejects a non-finite point before the chart runs
+    "chart": (DomainError, r"^chart point coordinates must be finite$"),
+}
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("as_array", [False, True], ids=["number", "array"])
 @pytest.mark.parametrize("name", sorted(_S_HELPERS))
 def test_unduloid_helpers_reject_non_finite_s_without_warnings(name, as_array, value):
     s = np.array([0.2, value, 0.4]) if as_array else value
+    error, message = _NON_FINITE_S[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidParameters, match=r"^s must be finite$"):
+        with pytest.raises(error, match=message):
             _S_HELPERS[name](1.0, 0.5, s)
 
 

@@ -318,6 +318,32 @@ def test_unduloid_requires_B_or_eps(capsys):
         main(["unduloid", "--H", "1"])
 
 
+@pytest.mark.parametrize("argv, option, code", [
+    (("unduloid", "--B", "0.5", "--samples", "4", "--csv"), "--H", 0),
+    (("unduloid", "--H", "1"), "--B", 3),
+    (("unduloid", "--H", "1"), "--solve-eps", 3),
+    (("verify", "umbilical-sphere:n=2,c=0,r=1.0", "--grid", "4"), "--tol", 1),
+], ids=["H", "B", "solve-eps", "verify-tol"])
+def test_negative_number_with_an_exponent_is_a_value(capsys, argv, option, code):
+    # "--H -1e-3" reads as "--H=-1e-3", not as a flag -1e-3.
+    spaced = run(capsys, *argv, option, "-1e-3")
+    assert spaced == run(capsys, *argv, f"{option}=-1e-3")
+    assert spaced[0] == code
+    assert run(capsys, *argv, option, "-2.5E+1") == run(capsys, *argv, f"{option}=-2.5E+1")
+
+
+def test_unduloid_negative_H_with_an_exponent_writes_its_table(capsys):
+    code, out, _ = run(capsys, "unduloid", "--H", "-1e-3", "--B", "0.5", "--samples", "4", "--csv")
+    assert code == 0 and len(out.splitlines()) == 5
+
+
+def test_option_without_its_value_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["unduloid", "--H", "--B", "0.5"])
+    assert exc.value.code == 2
+    assert "--H: expected one argument" in capsys.readouterr().err
+
+
 def test_report_csv(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code, out, _ = run(capsys, "report", "--out", str(out_path), "--format",

@@ -17,6 +17,7 @@ from cmcgeo.catalog import (
     Unduloid,
     build_chart,
     default_model_grid,
+    model_to_text,
     unduloid_profile,
 )
 from cmcgeo.errors import (
@@ -593,6 +594,26 @@ def test_batch_equals_shape_data_at_bit_for_bit(chart):
         _assert_same_shape_data(got, shape_data_at(chart, p))
 
 
+@pytest.mark.parametrize("model", [
+    CliffordTorus(6, 2),  # ambient dimension 8
+    SphereProduct(6, 0.6),  # 8
+    HyperbolicCylinder(6, 5, 0.8),  # 8
+    EuclideanProduct(8, 3, 1.3),  # 9
+    SphereProduct(8, 0.6),  # 10
+], ids=model_to_text)
+def test_batch_equals_shape_data_at_in_ambient_dimensions_8_to_10(model):
+    # From 8 entries on numpy sums a 1-D array in another order than the
+    # rows of a 2-D one; the normal's and <x,x>'s sums must not depend on it.
+    chart, shapes = _recording_shapes(build_chart(model))
+    lo = np.array([iv.lo for iv in chart.domain])
+    span = np.array([iv.span for iv in chart.domain])
+    pts = lo + span * np.random.default_rng(5).uniform(0.3, 0.7, (64, chart.dim))
+    batch = shape_data_batch(chart, pts)
+    assert shapes == [(chart.dim, len(pts))]
+    for p, got in zip(pts, batch):
+        _assert_same_shape_data(got, shape_data_at(chart, p))
+
+
 def _sphere_batch_with_pole():
     """Round 2-sphere chart points; the middle one sits on the pole, where
     the metric degenerates."""
@@ -669,6 +690,33 @@ def test_per_point_evaluation_rejects_a_batch_of_points():
             chart.position(u)
     with pytest.raises(SizeMismatch):
         chart.jets(pts[0], batch=True)
+
+
+@pytest.mark.parametrize("chart", [build_chart(Unduloid(1.0, 0.5)), wavy_graph_chart()],
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_raises_before_the_chart_is_evaluated(chart, bad):
+    chart, shapes = _recording_shapes(chart)
+    pts = [[0.1, 1.0], [bad, 1.0], [0.2, bad]]
+    for u in pts[1:]:
+        with pytest.raises(DomainError, match="coordinates must be finite"):
+            shape_data_at(chart, u)
+        with pytest.raises(DomainError, match="coordinates must be finite"):
+            chart.position(u)
+    assert shapes == []
+    with pytest.raises(DomainError, match="coordinates must be finite"):
+        shape_data_batch(chart, pts)
+    assert shapes == [(2,)]  # only the good point before the first bad one
+
+
+def test_non_finite_point_raises_in_every_fd_function():
+    chart = build_chart(Unduloid(1.0, 0.5))
+    u = [math.nan, 1.0]
+    for fd in (lambda: laplace_beltrami(chart, PHI2, u), lambda: grad_norm(chart, PHI2, u),
+               lambda: christoffel_symbols(chart, u), lambda: nabla_phi_norm2(chart, u),
+               lambda: simons_residual(chart, u), lambda: intrinsic_gauss_n2(chart, u)):
+        with pytest.raises(DomainError, match="coordinates must be finite"):
+            fd()
 
 
 def test_batch_of_a_chart_that_takes_one_point_only():

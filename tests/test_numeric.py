@@ -435,14 +435,17 @@ def _raises(rows, form) -> bool:
     return False
 
 
-@pytest.mark.parametrize("form", ["euclidean", "lorentzian"])
-def test_batched_rank_mask_equals_where_nullspace_unit_raises(form):
-    # Rows (1, 0, 0, 0), (0.3, 0, 1, 0) and (1, e, 0, 0), each with largest
-    # entry 1: the cofactor vector is (0, 0, 0, -e) up to rounding, and the
-    # threshold t is 1e-10 times the product of the row norms, so e = k t
-    # puts the norm at k times the threshold.  Near k = 1 the verdict turns
-    # within a few ulp; near 1/2 and 2 the screen hands over to the exact check.
-    base = np.array([[1.0, 0.0, 0.0, 0.0], [0.3, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("form, dim", [
+    pytest.param(form, dim, id=form if dim == 4 else f"{form}-dim{dim}")
+    for dim in (4, 8, 9) for form in ("euclidean", "lorentzian")])
+def test_batched_rank_mask_equals_where_nullspace_unit_raises(form, dim):
+    # Rows e_0, 0.3 e_0 + e_2, e_3, ..., e_{dim-2} and (1, e, 0, ..., 0), each
+    # with largest entry 1: the cofactor vector is (0, ..., 0, +-e) up to
+    # rounding, and the threshold t is 1e-10 times the product of the row
+    # norms, so e = k t puts the norm at k times the threshold.  Near k = 1
+    # the verdict turns within a few ulp.
+    eye = np.eye(dim)
+    base = np.vstack([eye[0], 0.3 * eye[0] + eye[2], eye[3:dim - 1], eye[0]])
     t = _RANK_RTOL * math.prod(math.hypot(*r) for r in base.tolist())
     near_one = [1.0 + d for d in (-1e-15, -4e-16, 0.0, 4e-16, 1e-15, 2e-15)]
     ks = near_one + [0.25, 4.0, 1e3] + [k * (1.0 + d) for k in (0.5, 2.0)
@@ -450,12 +453,12 @@ def test_batched_rank_mask_equals_where_nullspace_unit_raises(form):
     batch = []
     for k in ks:
         rows = base.copy()
-        rows[2, 1] = k * t
+        rows[-1, 1] = k * t
         batch.append(rows)
-    batch.append(np.full((3, 4), math.nan))  # non-finite
-    batch.append(np.vstack([base[:2], np.zeros(4)]))  # a zero row: bound 0
-    batch.append(np.vstack([base[:2], base[1]]))  # repeated row: cofactors 0
-    batch.append(np.vstack([base[:2], [1.0, 0.0, 0.0, 1.0]]))  # well inside
+    batch.append(np.full((dim - 1, dim), math.nan))  # non-finite
+    batch.append(np.vstack([base[:-1], np.zeros(dim)]))  # a zero row: bound 0
+    batch.append(np.vstack([base[:-1], base[1]]))  # repeated row: cofactors 0
+    batch.append(np.vstack([base[:-1], eye[0] + eye[-1]]))  # well inside
     rows = np.array(batch)
     with np.errstate(invalid="ignore"):  # det of the NaN rows
         _, mask = _nullspace_batch(rows, form)

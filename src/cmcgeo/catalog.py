@@ -5,7 +5,9 @@ Each family is exposed two ways: as an ImmersionChart for the numerical
 pipeline, and as exact invariants (principal curvatures, mean curvature,
 traceless norm, branch prediction) that the numerics are tested against.
 Closed forms are authoritative; the numeric geometry is the thing under
-test.
+test.  A family is one class that holds its parameters, space, range
+checks, chart and closed forms; ``build_chart``, ``closed_form_invariants``
+and ``closed_form_at`` each call one of its methods.
 """
 
 from __future__ import annotations
@@ -56,23 +58,41 @@ _POLAR_MARGIN = 1e-3
 # --------------------------------------------------------------------------
 
 class _Family:
-    """Base of the model classes.  A family's parameters are its dataclass
-    fields, each declared ``int`` or ``float``: the parser and the canonical
-    text read them from there, in declaration order.  Every ``float`` field
-    must be finite; ``_check`` then validates the family's ranges."""
+    """Base of the model classes; each family is one subclass, listed once
+    in ``_FAMILIES``.
+
+    A family's parameters are its dataclass fields, each declared ``int`` or
+    ``float``: the parser and the canonical text read them from there, in
+    declaration order.  ``c`` and ``n`` are class constants unless they are
+    fields.  Every ``float`` field must be finite and ``n`` at least 2;
+    ``_check`` then validates the family's own ranges.  ``_chart`` builds
+    its ImmersionChart, ``_invariants`` its ClosedFormInvariants, and
+    ``_closed_form_at`` the pointwise |Phi| and curvatures, by default the
+    invariants' constants."""
 
     family: ClassVar[str]
+    c: int
+    n: int
 
     def __post_init__(self):
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise InvalidParameters(f"{f.name} must be finite")
+        if self.n < 2:
+            raise InvalidParameters("n must be >= 2")
         self._check()  # each family's range checks
+
+    @property
+    def space(self) -> AmbientSpace:
+        return AmbientSpace(self.c, self.n)
 
     def params_text(self) -> str:
         return ",".join(
             f"{f.name}={(_fmt if f.type == 'float' else str)(getattr(self, f.name))}"
             for f in fields(self))
+
+    def _closed_form_at(self, inv: ClosedFormInvariants, u) -> tuple[float, np.ndarray]:
+        return inv.phi_norm, inv.kappas
 
 
 @dataclass(frozen=True)
@@ -84,18 +104,32 @@ class EuclideanProduct(_Family):
     r: float
 
     family = "euclidean-product"
+    c = 0
 
     def _check(self) -> None:
-        if self.n < 2:
-            raise InvalidParameters("n must be >= 2")
         if not 1 <= self.k <= self.n - 1:
             raise InvalidParameters("k must lie in [1, n-1]")
         if self.r <= 0:
             raise InvalidParameters("r must be positive")
 
-    @property
-    def space(self) -> AmbientSpace:
-        return AmbientSpace(0, self.n)
+    def _chart(self) -> ImmersionChart:
+        n, k, r = self.n, self.k, self.r
+
+        def ev(u: np.ndarray) -> list[Jet2]:
+            jets = _variables(u)
+            return jets[: n - k] + _sphere_jets(jets[n - k:], r)
+
+        domain = [Interval(-2.0, 2.0) for _ in range(n - k)] + _sphere_domain(k)
+        return ImmersionChart(self.space, tuple(domain), ev, name=model_to_text(self))
+
+    def _invariants(self) -> ClosedFormInvariants:
+        n, k, r = self.n, self.k, self.r
+        kappas = np.sort(np.r_[np.zeros(n - k), np.full(k, 1.0 / r)])
+        h = k / (n * r)
+        phi = math.sqrt(k * (n - k)) / (math.sqrt(n) * r)
+        return ClosedFormInvariants(
+            kappas=kappas, H_signed=h, abs_H=h, phi_norm=phi,
+            branch_prediction="equality" if k == n - 1 else "strict")
 
 
 @dataclass(frozen=True)
@@ -106,16 +140,33 @@ class SphereProduct(_Family):
     r: float
 
     family = "sphere-product"
+    c = 1
 
     def _check(self) -> None:
-        if self.n < 2:
-            raise InvalidParameters("n must be >= 2")
         if not 0 < self.r < 1:
             raise InvalidParameters("r must lie in (0,1)")
 
-    @property
-    def space(self) -> AmbientSpace:
-        return AmbientSpace(1, self.n)
+    def _chart(self) -> ImmersionChart:
+        n, r = self.n, self.r
+        rho = math.sqrt(1.0 - r * r)
+
+        def ev(u: np.ndarray) -> list[Jet2]:
+            jets = _variables(u)
+            phi = jets[0]
+            return [rho * phi.cos(), rho * phi.sin()] + _sphere_jets(jets[1:], r)
+
+        domain = [Interval(0.0, 2.0 * math.pi, periodic=True)] + _sphere_domain(n - 1)
+        return ImmersionChart(self.space, tuple(domain), ev, name=model_to_text(self))
+
+    def _invariants(self) -> ClosedFormInvariants:
+        n, r = self.n, self.r
+        rho = math.sqrt(1.0 - r * r)
+        kappas = np.sort(np.r_[np.full(n - 1, -rho / r), [r / rho]])
+        h = sphere_product_mean_curvature(n, r)
+        phi = math.sqrt(n - 1) / (r * math.sqrt(n) * rho)
+        branch = "equality" if r * r <= (n - 1) / n else "strict"
+        return ClosedFormInvariants(
+            kappas=kappas, H_signed=h, abs_H=abs(h), phi_norm=phi, branch_prediction=branch)
 
 
 @dataclass(frozen=True)
@@ -126,16 +177,31 @@ class CliffordTorus(_Family):
     k: int
 
     family = "clifford"
+    c = 1
 
     def _check(self) -> None:
-        if self.n < 2:
-            raise InvalidParameters("n must be >= 2")
         if not 1 <= self.k <= self.n - 1:
             raise InvalidParameters("k must lie in [1, n-1]")
 
-    @property
-    def space(self) -> AmbientSpace:
-        return AmbientSpace(1, self.n)
+    def _chart(self) -> ImmersionChart:
+        n, k = self.n, self.k
+        a = math.sqrt(k / n)
+        b = math.sqrt((n - k) / n)
+
+        def ev(u: np.ndarray) -> list[Jet2]:
+            jets = _variables(u)
+            return _sphere_jets(jets[:k], a) + _sphere_jets(jets[k:], b)
+
+        domain = _sphere_domain(k) + _sphere_domain(n - k)
+        return ImmersionChart(self.space, tuple(domain), ev, name=model_to_text(self))
+
+    def _invariants(self) -> ClosedFormInvariants:
+        n, k = self.n, self.k
+        kappas = np.sort(np.r_[np.full(n - k, -math.sqrt(k / (n - k))),
+                               np.full(k, math.sqrt((n - k) / k))])
+        return ClosedFormInvariants(
+            kappas=kappas, H_signed=0.0, abs_H=0.0, phi_norm=math.sqrt(n),
+            branch_prediction="equality")
 
 
 @dataclass(frozen=True)
@@ -147,18 +213,13 @@ class HyperbolicCylinder(_Family):
     r: float
 
     family = "hyperbolic-cylinder"
+    c = -1
 
     def _check(self) -> None:
-        if self.n < 2:
-            raise InvalidParameters("n must be >= 2")
         if self.k not in (1, self.n - 1):
             raise InvalidParameters("k must be 1 or n-1")
         if self.r <= 0:
             raise InvalidParameters("r must be positive")
-
-    @property
-    def space(self) -> AmbientSpace:
-        return AmbientSpace(-1, self.n)
 
     @property
     def mean_curvature_exceeds_one(self) -> bool:
@@ -166,6 +227,47 @@ class HyperbolicCylinder(_Family):
         r < 1/sqrt(n(n-2))."""
         h = hyperbolic_cylinder_mean_curvature(self.n, self.k, self.r)
         return h * h > 1.0
+
+    def _chart(self) -> ImmersionChart:
+        n, k, r = self.n, self.k, self.r
+        rho = math.sqrt(1.0 + r * r)
+        mh = n - k  # hyperbolic factor dimension
+
+        def ev(u: np.ndarray) -> list[Jet2]:
+            jets = _variables(u)
+            chi = jets[0]
+            if mh == 1:
+                hyp = [rho * chi.cosh(), rho * chi.sinh()]
+            else:
+                sh = chi.sinh()
+                unit = _sphere_jets(jets[1:mh], 1.0)
+                hyp = [rho * chi.cosh()] + [rho * (sh * w) for w in unit]
+            return hyp + _sphere_jets(jets[mh:], r)
+
+        if mh == 1:
+            domain_h = [Interval(-1.5, 1.5)]
+        else:
+            domain_h = [Interval(0.25, 1.75)] + _sphere_domain(mh - 1)
+        domain = domain_h + _sphere_domain(k)
+        return ImmersionChart(self.space, tuple(domain), ev, name=model_to_text(self))
+
+    def _invariants(self) -> ClosedFormInvariants:
+        n, k, r = self.n, self.k, self.r
+        rho = math.sqrt(1.0 + r * r)
+        kappas = np.sort(np.r_[np.full(n - k, r / rho), np.full(k, rho / r)])
+        h = hyperbolic_cylinder_mean_curvature(n, k, r)
+        phi = math.sqrt((n - k) * (r / rho) ** 2 + k * (rho / r) ** 2 - n * h * h)
+        branch = (("equality" if k == n - 1 else "strict")
+                  if self.mean_curvature_exceeds_one else None)
+        return ClosedFormInvariants(
+            kappas=kappas, H_signed=h, abs_H=h, phi_norm=phi, branch_prediction=branch)
+
+
+# From this many points on, the unduloid chart takes x(s), x' and x'' in one
+# array pass; below, one point at a time.  Both give the same bits.  The
+# pass has a fixed cost of about 30 scalar calls: on a 2-core Xeon (best of
+# 200) the two paths cost the same at 28-36 points.
+_X_ARRAY_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -176,6 +278,8 @@ class Unduloid(_Family):
     B: float
 
     family = "unduloid"
+    c = 0
+    n = 2
 
     def _check(self) -> None:
         if self.H == 0:
@@ -196,9 +300,48 @@ class Unduloid(_Family):
             raise InvalidParameters(
                 "H is too large for B: sup |Phi|^2 = 2H^2 (1+B)^2/(1-B)^2 overflows")
 
-    @property
-    def space(self) -> AmbientSpace:
-        return AmbientSpace(0, 2)
+    def _chart(self) -> ImmersionChart:
+        h, b = self.H, self.B
+        abs_h = abs(h)
+        x_of = _unduloid_x(h, b)
+
+        def x_parts(s):
+            x = x_of(s)  # first: x_of rejects a non-finite s
+            xp, xpp, _ = _unduloid_x_derivatives(h, b, s)
+            return x, xp, xpp
+
+        def ev(u: np.ndarray) -> list[Jet2]:
+            s, theta = u[0], u[1]
+            if u.ndim == 1:
+                x, xp, xpp = x_parts(float(s))
+                zero = 0.0
+            else:
+                x, xp, xpp = (x_parts(s) if s.size >= _X_ARRAY_MIN
+                              else np.array([x_parts(t) for t in s.tolist()]).T)
+                zero = np.zeros_like(x)
+            xj = Jet2(x, np.array([xp, zero]), np.array([[xpp, zero], [zero, zero]]))
+            sj = Jet2.variable(s, 0, 2)
+            tj = Jet2.variable(theta, 1, 2)
+            q = 1.0 + b * b + 2.0 * b * (2.0 * h * sj).sin()
+            yj = q.sqrt() / (2.0 * abs_h)
+            return [xj, yj * tj.cos(), yj * tj.sin()]
+
+        domain = (Interval(0.0, math.pi / abs_h, periodic=True),
+                  Interval(0.0, 2.0 * math.pi, periodic=True))
+        return ImmersionChart(self.space, domain, ev, name=model_to_text(self))
+
+    def _invariants(self) -> ClosedFormInvariants:
+        abs_h = abs(self.H)
+        return ClosedFormInvariants(
+            kappas=None, H_signed=abs_h, abs_H=abs_h,
+            phi_norm=unduloid_sup_phi(self.H, self.B), branch_prediction="strict",
+            inf_gauss=unduloid_inf_gauss(self.H, self.B))
+
+    def _closed_form_at(self, inv: ClosedFormInvariants, u) -> tuple[float, np.ndarray]:
+        s = float(u[0])
+        _phase(self.H, s)  # rejects s as x(s) would
+        p = _profile_with(self.H, self.B, s, None)
+        return unduloid_phi_norm(self.H, p.K), np.sort([p.kappa_mer, p.kappa_par])
 
 
 @dataclass(frozen=True)
@@ -214,8 +357,6 @@ class UmbilicalSphere(_Family):
     family = "umbilical-sphere"
 
     def _check(self) -> None:
-        if self.n < 2:
-            raise InvalidParameters("n must be >= 2")
         if self.c not in (-1, 0, 1):
             raise InvalidParameters("c must be -1, 0 or 1")
         if self.r <= 0:
@@ -223,9 +364,31 @@ class UmbilicalSphere(_Family):
         if self.c == 1 and self.r > 1:
             raise InvalidParameters("r must lie in (0,1] when c=1")
 
-    @property
-    def space(self) -> AmbientSpace:
-        return AmbientSpace(self.c, self.n)
+    def _chart(self) -> ImmersionChart:
+        n, c, r = self.n, self.c, self.r
+
+        def ev(u: np.ndarray) -> list[Jet2]:
+            jets = _variables(u)
+            sphere = _sphere_jets(jets, r)
+            if c == 0:
+                return sphere
+            x0 = math.sqrt(1.0 - r * r) if c == 1 else math.sqrt(1.0 + r * r)
+            return [Jet2.constant(x0, n)] + sphere
+
+        return ImmersionChart(self.space, tuple(_sphere_domain(n)), ev,
+                              name=model_to_text(self))
+
+    def _invariants(self) -> ClosedFormInvariants:
+        n, c, r = self.n, self.c, self.r
+        if c == 0:
+            kappa = 1.0 / r
+        elif c == 1:
+            kappa = math.sqrt(1.0 - r * r) / r
+        else:
+            kappa = math.sqrt(1.0 + r * r) / r
+        return ClosedFormInvariants(
+            kappas=np.full(n, kappa), H_signed=kappa, abs_H=kappa, phi_norm=0.0,
+            branch_prediction="umbilical")
 
 
 _FAMILIES = (EuclideanProduct, SphereProduct, CliffordTorus,
@@ -270,133 +433,7 @@ def _sphere_domain(m: int) -> list[Interval]:
 def build_chart(model: ModelSpec) -> ImmersionChart:
     """Immersion chart of a catalog model, with angle coordinates on sphere
     factors and hyperbolic-angle coordinates on hyperbolic factors."""
-    if isinstance(model, EuclideanProduct):
-        return _euclidean_product_chart(model)
-    if isinstance(model, SphereProduct):
-        return _sphere_product_chart(model)
-    if isinstance(model, CliffordTorus):
-        return _clifford_chart(model)
-    if isinstance(model, HyperbolicCylinder):
-        return _hyperbolic_cylinder_chart(model)
-    if isinstance(model, Unduloid):
-        return _unduloid_chart(model)
-    if isinstance(model, UmbilicalSphere):
-        return _umbilical_sphere_chart(model)
-    raise InvalidParameters(f"unknown model type {type(model).__name__}")
-
-
-def _euclidean_product_chart(m: EuclideanProduct) -> ImmersionChart:
-    n, k, r = m.n, m.k, m.r
-
-    def ev(u: np.ndarray) -> list[Jet2]:
-        jets = _variables(u)
-        return jets[: n - k] + _sphere_jets(jets[n - k:], r)
-
-    domain = [Interval(-2.0, 2.0) for _ in range(n - k)] + _sphere_domain(k)
-    return ImmersionChart(m.space, tuple(domain), ev, name=model_to_text(m))
-
-
-def _sphere_product_chart(m: SphereProduct) -> ImmersionChart:
-    n, r = m.n, m.r
-    rho = math.sqrt(1.0 - r * r)
-
-    def ev(u: np.ndarray) -> list[Jet2]:
-        jets = _variables(u)
-        phi = jets[0]
-        return [rho * phi.cos(), rho * phi.sin()] + _sphere_jets(jets[1:], r)
-
-    domain = [Interval(0.0, 2.0 * math.pi, periodic=True)] + _sphere_domain(n - 1)
-    return ImmersionChart(m.space, tuple(domain), ev, name=model_to_text(m))
-
-
-def _clifford_chart(m: CliffordTorus) -> ImmersionChart:
-    n, k = m.n, m.k
-    a = math.sqrt(k / n)
-    b = math.sqrt((n - k) / n)
-
-    def ev(u: np.ndarray) -> list[Jet2]:
-        jets = _variables(u)
-        return _sphere_jets(jets[:k], a) + _sphere_jets(jets[k:], b)
-
-    domain = _sphere_domain(k) + _sphere_domain(n - k)
-    return ImmersionChart(m.space, tuple(domain), ev, name=model_to_text(m))
-
-
-def _hyperbolic_cylinder_chart(m: HyperbolicCylinder) -> ImmersionChart:
-    n, k, r = m.n, m.k, m.r
-    rho = math.sqrt(1.0 + r * r)
-    mh = n - k  # hyperbolic factor dimension
-
-    def ev(u: np.ndarray) -> list[Jet2]:
-        jets = _variables(u)
-        chi = jets[0]
-        if mh == 1:
-            hyp = [rho * chi.cosh(), rho * chi.sinh()]
-        else:
-            sh = chi.sinh()
-            unit = _sphere_jets(jets[1:mh], 1.0)
-            hyp = [rho * chi.cosh()] + [rho * (sh * w) for w in unit]
-        return hyp + _sphere_jets(jets[mh:], r)
-
-    if mh == 1:
-        domain_h = [Interval(-1.5, 1.5)]
-    else:
-        domain_h = [Interval(0.25, 1.75)] + _sphere_domain(mh - 1)
-    domain = domain_h + _sphere_domain(k)
-    return ImmersionChart(m.space, tuple(domain), ev, name=model_to_text(m))
-
-
-def _umbilical_sphere_chart(m: UmbilicalSphere) -> ImmersionChart:
-    n, c, r = m.n, m.c, m.r
-
-    def ev(u: np.ndarray) -> list[Jet2]:
-        jets = _variables(u)
-        sphere = _sphere_jets(jets, r)
-        if c == 0:
-            return sphere
-        x0 = math.sqrt(1.0 - r * r) if c == 1 else math.sqrt(1.0 + r * r)
-        return [Jet2.constant(x0, n)] + sphere
-
-    return ImmersionChart(m.space, tuple(_sphere_domain(n)), ev,
-                          name=model_to_text(m))
-
-
-# From this many points on, the unduloid chart takes x(s), x' and x'' in one
-# array pass; below, one point at a time.  Both give the same bits.  The
-# pass has a fixed cost of about 30 scalar calls: on a 2-core Xeon (best of
-# 200) the two paths cost the same at 28-36 points.
-_X_ARRAY_MIN = 32
-
-
-def _unduloid_chart(m: Unduloid) -> ImmersionChart:
-    h, b = m.H, m.B
-    abs_h = abs(h)
-    x_of = _unduloid_x(h, b)
-
-    def x_parts(s):
-        x = x_of(s)  # first: x_of rejects a non-finite s
-        xp, xpp, _ = _unduloid_x_derivatives(h, b, s)
-        return x, xp, xpp
-
-    def ev(u: np.ndarray) -> list[Jet2]:
-        s, theta = u[0], u[1]
-        if u.ndim == 1:
-            x, xp, xpp = x_parts(float(s))
-            zero = 0.0
-        else:
-            x, xp, xpp = (x_parts(s) if s.size >= _X_ARRAY_MIN
-                          else np.array([x_parts(t) for t in s.tolist()]).T)
-            zero = np.zeros_like(x)
-        xj = Jet2(x, np.array([xp, zero]), np.array([[xpp, zero], [zero, zero]]))
-        sj = Jet2.variable(s, 0, 2)
-        tj = Jet2.variable(theta, 1, 2)
-        q = 1.0 + b * b + 2.0 * b * (2.0 * h * sj).sin()
-        yj = q.sqrt() / (2.0 * abs_h)
-        return [xj, yj * tj.cos(), yj * tj.sin()]
-
-    domain = (Interval(0.0, math.pi / abs_h, periodic=True),
-              Interval(0.0, 2.0 * math.pi, periodic=True))
-    return ImmersionChart(m.space, domain, ev, name=model_to_text(m))
+    return model._chart()
 
 
 # --------------------------------------------------------------------------
@@ -661,76 +698,14 @@ class ClosedFormInvariants:
 
 def closed_form_invariants(model: ModelSpec) -> ClosedFormInvariants:
     """Exact (H, |Phi|, kappa) data and the predicted classification branch."""
-    if isinstance(model, EuclideanProduct):
-        n, k, r = model.n, model.k, model.r
-        kappas = np.sort(np.r_[np.zeros(n - k), np.full(k, 1.0 / r)])
-        h = k / (n * r)
-        phi = math.sqrt(k * (n - k)) / (math.sqrt(n) * r)
-        return ClosedFormInvariants(
-            kappas=kappas, H_signed=h, abs_H=h, phi_norm=phi,
-            branch_prediction="equality" if k == n - 1 else "strict")
-
-    if isinstance(model, SphereProduct):
-        n, r = model.n, model.r
-        rho = math.sqrt(1.0 - r * r)
-        kappas = np.sort(np.r_[np.full(n - 1, -rho / r), [r / rho]])
-        h = sphere_product_mean_curvature(n, r)
-        phi = math.sqrt(n - 1) / (r * math.sqrt(n) * rho)
-        branch = "equality" if r * r <= (n - 1) / n else "strict"
-        return ClosedFormInvariants(
-            kappas=kappas, H_signed=h, abs_H=abs(h), phi_norm=phi, branch_prediction=branch)
-
-    if isinstance(model, CliffordTorus):
-        n, k = model.n, model.k
-        kappas = np.sort(np.r_[np.full(n - k, -math.sqrt(k / (n - k))),
-                               np.full(k, math.sqrt((n - k) / k))])
-        return ClosedFormInvariants(
-            kappas=kappas, H_signed=0.0, abs_H=0.0, phi_norm=math.sqrt(n),
-            branch_prediction="equality")
-
-    if isinstance(model, HyperbolicCylinder):
-        n, k, r = model.n, model.k, model.r
-        rho = math.sqrt(1.0 + r * r)
-        kappas = np.sort(np.r_[np.full(n - k, r / rho), np.full(k, rho / r)])
-        h = hyperbolic_cylinder_mean_curvature(n, k, r)
-        phi = math.sqrt((n - k) * (r / rho) ** 2 + k * (rho / r) ** 2 - n * h * h)
-        branch = (("equality" if k == n - 1 else "strict")
-                  if model.mean_curvature_exceeds_one else None)
-        return ClosedFormInvariants(
-            kappas=kappas, H_signed=h, abs_H=h, phi_norm=phi, branch_prediction=branch)
-
-    if isinstance(model, Unduloid):
-        abs_h = abs(model.H)
-        return ClosedFormInvariants(
-            kappas=None, H_signed=abs_h, abs_H=abs_h,
-            phi_norm=unduloid_sup_phi(model.H, model.B), branch_prediction="strict",
-            inf_gauss=unduloid_inf_gauss(model.H, model.B))
-
-    if isinstance(model, UmbilicalSphere):
-        n, c, r = model.n, model.c, model.r
-        if c == 0:
-            kappa = 1.0 / r
-        elif c == 1:
-            kappa = math.sqrt(1.0 - r * r) / r
-        else:
-            kappa = math.sqrt(1.0 + r * r) / r
-        return ClosedFormInvariants(
-            kappas=np.full(n, kappa), H_signed=kappa, abs_H=kappa, phi_norm=0.0,
-            branch_prediction="umbilical")
-
-    raise InvalidParameters(f"unknown model type {type(model).__name__}")
+    return model._invariants()
 
 
 def closed_form_at(model: ModelSpec, inv: ClosedFormInvariants, u) -> tuple[float, np.ndarray]:
     """Closed-form |Phi| and ascending principal curvatures at chart point
     ``u``, given ``inv = closed_form_invariants(model)``: its constants, or
     for the unduloid the profile values at arclength u[0]."""
-    if isinstance(model, Unduloid):
-        s = float(u[0])
-        _phase(model.H, s)  # rejects s as x(s) would
-        p = _profile_with(model.H, model.B, s, None)
-        return unduloid_phi_norm(model.H, p.K), np.sort([p.kappa_mer, p.kappa_par])
-    return inv.phi_norm, inv.kappas
+    return model._closed_form_at(inv, u)
 
 
 def r_from_H(c: int, n: int, abs_H: float, sign_choice: str = "minus",

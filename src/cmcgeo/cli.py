@@ -11,7 +11,9 @@ thin shell.
 Exit codes: 0 ok, 1 residual above tolerance, 2 parse/usage error,
 3 invalid model parameters, 4 I/O failure, 5 any other package error
 (``CmcError``), such as a finite-difference stencil leaving the chart
-domain.  The environment variable ``CMC_FD_STEP`` overrides the
+domain, and as a last resort an ``OverflowError`` or numpy ``LinAlgError``.
+``verify --tol`` must be finite and positive, otherwise the command exits
+2.  The environment variable ``CMC_FD_STEP`` overrides the
 finite-difference step; when set and non-empty it must be a finite positive
 number whose square does not underflow (the second-difference quotients
 divide by it), otherwise the command exits 2.
@@ -424,8 +426,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "verify" and args.grid < 4:
-            raise _UsageError("--grid must be at least 4")
+        if args.command == "verify":
+            if args.grid < 4:
+                raise _UsageError("--grid must be at least 4")
+            if not 0 < args.tol < math.inf:
+                raise _UsageError("--tol must be finite and positive")
         return args.fn(args)
     except (_UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -433,7 +438,9 @@ def main(argv=None) -> int:
     except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARAMS
-    except CmcError as exc:
+    # Last resort: the arithmetic left its range.  LinAlgError is a
+    # ValueError, but a bare ValueError stays a traceback.
+    except (CmcError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
 

@@ -752,8 +752,19 @@ def test_family_knowledge_stays_in_catalog():
     package = Path(cat.__file__).parent
     assert not _imported_names(package / "catalog.py") & {"bounds", "cli"}
     families = {cls.__name__ for cls in typing.get_args(cat.ModelSpec)}
-    for module in ("bounds.py", "cli.py"):
+    for module in ("bounds.py", "cli.py", "catalog.py"):
         assert not _isinstance_targets(package / module) & families, module
+
+
+_N_FIELD_FAMILIES = [cls for cls in typing.get_args(cat.ModelSpec)
+                     if "n" in {f.name for f in dataclasses.fields(cls)}]
+
+
+@pytest.mark.parametrize("cls", _N_FIELD_FAMILIES, ids=lambda cls: cls.family)
+def test_n_below_2_rejected(cls):
+    valid = next(m for m in cat.default_model_grid() if isinstance(m, cls))
+    with pytest.raises(InvalidParameters, match=r"^n must be >= 2$"):
+        dataclasses.replace(valid, n=1)
 
 
 def test_invalid_parameters():

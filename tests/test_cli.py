@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -164,6 +165,23 @@ def test_verify_grid_minimum(capsys):
     assert "at least 4" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-3", "0", "-inf"])
+def test_verify_tol_not_finite_and_positive_exit_2(capsys, tol):
+    code, out, err = run(capsys, "verify", "unduloid:H=1,B=0.5", "--grid", "4", f"--tol={tol}")
+    assert (code, out, err) == (2, "", "error: --tol must be finite and positive\n")
+
+
+# One model of each family whose first field is n.
+_N_FIELD_MODELS = list({m.family: m for m in cat.default_model_grid()
+                        if dataclasses.fields(m)[0].name == "n"}.values())
+
+
+@pytest.mark.parametrize("model", _N_FIELD_MODELS, ids=lambda m: m.family)
+def test_model_with_n_below_2_exits_3_with_one_line(capsys, model):
+    text = f"{model.family}:n=1," + model.params_text().split(",", 1)[1]
+    assert run(capsys, "model", text) == (3, "", "error: n must be >= 2\n")
+
+
 def test_okumura_command(capsys):
     code, out, _ = run(capsys, "okumura", "--n", "3", "--trials", "5000",
                        "--seed", "7")
@@ -322,7 +340,7 @@ def test_unduloid_requires_B_or_eps(capsys):
     (("unduloid", "--B", "0.5", "--samples", "4", "--csv"), "--H", 0),
     (("unduloid", "--H", "1"), "--B", 3),
     (("unduloid", "--H", "1"), "--solve-eps", 3),
-    (("verify", "umbilical-sphere:n=2,c=0,r=1.0", "--grid", "4"), "--tol", 1),
+    (("verify", "umbilical-sphere:n=2,c=0,r=1.0", "--grid", "4"), "--tol", 2),
 ], ids=["H", "B", "solve-eps", "verify-tol"])
 def test_negative_number_with_an_exponent_is_a_value(capsys, argv, option, code):
     # "--H -1e-3" reads as "--H=-1e-3", not as a flag -1e-3.
@@ -572,3 +590,31 @@ def test_model_with_a_nan_residual_exits_5(capsys):
     assert json.loads(out)["residual_max"] is None
     assert code == 5
     assert err == "error: CmcError: the Simons residual is not finite at a sample point\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # (rho / r) ** 2 in the hyperbolic cylinder's invariants
+    ("verify", "hyperbolic-cylinder:n=3,k=1,r=1e-170", "--grid", "4"),
+    # abs_H ** 2 in bounds.classify
+    ("model", "euclidean-product:n=2,k=1,r=1.38e-273", "--grid", "1"),
+], ids=["verify", "model"])
+def test_overflow_error_exits_5_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+
+def test_lin_alg_error_exits_5_with_one_line(capsys):
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run(capsys, "verify", "euclidean-product:n=3,k=1,r=1e200", "--grid", "4")
+    assert (code, out) == (5, "")
+    assert err == "error: LinAlgError: Eigenvalues did not converge\n"
+
+
+def test_a_bare_value_error_is_not_caught(monkeypatch):
+    def broken(model):
+        raise ValueError("not a last-resort error")
+
+    monkeypatch.setattr(cat, "closed_form_invariants", broken)
+    with pytest.raises(ValueError, match="not a last-resort error"):
+        main(["verify", "unduloid:H=1,B=0.5", "--grid", "4"])

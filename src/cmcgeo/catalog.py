@@ -65,10 +65,13 @@ class _Family:
     ``float``: the parser and the canonical text read them from there, in
     declaration order.  ``c`` and ``n`` are class constants unless they are
     fields.  Every ``float`` field must be finite and ``n`` at least 2;
-    ``_check`` then validates the family's own ranges.  ``_chart`` builds
-    its ImmersionChart, ``_invariants`` its ClosedFormInvariants, and
-    ``_closed_form_at`` the pointwise |Phi| and curvatures, by default the
-    invariants' constants."""
+    ``_check`` then validates the family's own ranges.  Last, a radius
+    field ``r`` must be positive with 2 (n r)^2 and 2 (n/r)^2 finite: no
+    closed form of these families, nor a number that ``bounds.classify``
+    computes from them, exceeds the larger of (n r)^2 and (n/r)^2 by more
+    than rounding.  ``_chart`` builds its ImmersionChart, ``_invariants``
+    its ClosedFormInvariants, and ``_closed_form_at`` the pointwise |Phi|
+    and curvatures, by default the invariants' constants."""
 
     family: ClassVar[str]
     c: int
@@ -78,9 +81,18 @@ class _Family:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise InvalidParameters(f"{f.name} must be finite")
-        if self.n < 2:
+        n = self.n
+        if n < 2:
             raise InvalidParameters("n must be >= 2")
         self._check()  # each family's range checks
+        if hasattr(self, "r"):  # the radius rule; floats overflow to inf, with no warning
+            r = self.r
+            if r <= 0:
+                raise InvalidParameters("r must be positive")
+            if not math.isfinite(2.0 * (n / r) * (n / r)):
+                raise InvalidParameters("r is too small: 2 (n/r)^2 overflows")
+            if not math.isfinite(2.0 * (n * r) * (n * r)):
+                raise InvalidParameters("r is too large: 2 (n r)^2 overflows")
 
     @property
     def space(self) -> AmbientSpace:
@@ -109,8 +121,6 @@ class EuclideanProduct(_Family):
     def _check(self) -> None:
         if not 1 <= self.k <= self.n - 1:
             raise InvalidParameters("k must lie in [1, n-1]")
-        if self.r <= 0:
-            raise InvalidParameters("r must be positive")
 
     def _chart(self) -> ImmersionChart:
         n, k, r = self.n, self.k, self.r
@@ -218,8 +228,6 @@ class HyperbolicCylinder(_Family):
     def _check(self) -> None:
         if self.k not in (1, self.n - 1):
             raise InvalidParameters("k must be 1 or n-1")
-        if self.r <= 0:
-            raise InvalidParameters("r must be positive")
 
     @property
     def mean_curvature_exceeds_one(self) -> bool:
@@ -359,8 +367,6 @@ class UmbilicalSphere(_Family):
     def _check(self) -> None:
         if self.c not in (-1, 0, 1):
             raise InvalidParameters("c must be -1, 0 or 1")
-        if self.r <= 0:
-            raise InvalidParameters("r must be positive")
         if self.c == 1 and self.r > 1:
             raise InvalidParameters("r must lie in (0,1] when c=1")
 

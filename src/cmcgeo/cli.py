@@ -8,15 +8,15 @@ over the whole catalog).  Every number in any output is reproducible by
 calling the underlying library function with the same inputs; the CLI is a
 thin shell.
 
-Exit codes: 0 ok, 1 residual above tolerance, 2 parse/usage error,
-3 invalid model parameters, 4 I/O failure, 5 any other package error
-(``CmcError``), such as a finite-difference stencil leaving the chart
-domain, and as a last resort an ``OverflowError`` or numpy ``LinAlgError``.
-``verify --tol`` must be finite and positive, otherwise the command exits
-2.  The environment variable ``CMC_FD_STEP`` overrides the
-finite-difference step; when set and non-empty it must be a finite positive
-number whose square does not underflow (the second-difference quotients
-divide by it), otherwise the command exits 2.
+Exit codes: 0 ok, 1 residual above tolerance, 2 parse/usage error, 3 invalid
+model parameters (a radius out of range among them), 4 I/O failure, 5 any
+other package error (``CmcError``), such as a finite-difference stencil
+leaving the chart domain, and as a last resort an ``OverflowError`` or numpy
+``LinAlgError``.  Each subcommand checks its own options: ``verify --grid``
+below 4 or a ``--tol`` that is not finite and positive exits 2.
+``CMC_FD_STEP`` overrides the finite-difference step; when set and non-empty
+it must be a finite positive number whose square does not underflow (the
+second-difference quotients divide by it), otherwise the command exits 2.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ _CSV_COLUMNS = ["family", "n", "c", "params", "abs_H", "phi_norm", "alpha_H",
                 "scalar_curvature", "scalar_bound", "branch", "inf_K"]
 
 _TABLE_COLUMNS = ("s", "x", "y", "y_prime", "y_second", "K", "phi_norm")
+
+# The checks of ``cmc verify``, in output order; surfaces (n = 2) add the second.
+_VERIFY_CHECKS = ("simons_max", "scalar_vs_curvature_contraction", "ricci_vs_contraction",
+                  "trace_phi", "phi_norm2_vs_kappas", "point_on_space_form",
+                  "mean_curvature_vs_closed_form", "phi_norm_vs_closed_form",
+                  "kappas_vs_closed_form")
+_VERIFY_CHECKS_N2 = ("intrinsic_gauss_consistency", "gauss_upper_bound_violation")
 
 _EXIT_OK = 0
 _EXIT_RESIDUAL = 1
@@ -76,8 +83,6 @@ def _residual(chart, u, h: float | None) -> float:
 # --------------------------------------------------------------------------
 
 def _jfmt(obj) -> str:
-    if type(obj) is float:  # the bulk of every record
-        return format(obj, ".17g") if math.isfinite(obj) else "null"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -131,20 +136,22 @@ def _residual_points(chart, per_axis: int, cap: int, seed: int):
     return pts
 
 
+def _classify(model, inv) -> tuple[str, float | None, float | None]:
+    """The branch, alpha_H and scalar bound of ``bounds.classify``, or
+    ("non-elliptic", None, None) where H^2 + c <= 0."""
+    try:
+        verdict = bounds.classify(model, inv)
+    except NonElliptic:
+        return "non-elliptic", None, None
+    return verdict.branch, verdict.gap_threshold, verdict.scalar_bound
+
+
 def _model_record(model, *, residual_axis: int, residual_cap: int,
                   seed: int, h: float | None) -> dict:
     inv = catalog.closed_form_invariants(model)
     space = model.space
     n, c = space.n, space.c
-    try:
-        verdict = bounds.classify(model, inv)
-        branch = verdict.branch
-        alpha = verdict.gap_threshold
-        sbound = verdict.scalar_bound
-    except NonElliptic:
-        branch = "non-elliptic"
-        alpha = None
-        sbound = None
+    branch, alpha, sbound = _classify(model, inv)
     chart = catalog.build_chart(model)
     residual_max = 0.0
     for u in _residual_points(chart, residual_axis, residual_cap, seed):
@@ -182,6 +189,10 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.grid < 4:
+        raise _UsageError("--grid must be at least 4")
+    if not 0 < args.tol < math.inf:
+        raise _UsageError("--tol must be finite and positive")
     model = catalog.parse_model(args.spec)
     h = _fd_step()
     chart = catalog.build_chart(model)
@@ -190,20 +201,7 @@ def _cmd_verify(args) -> int:
     n, c = space.n, space.c
     rng = np.random.default_rng(12345)
 
-    checks: dict[str, float] = {
-        "simons_max": 0.0,
-        "scalar_vs_curvature_contraction": 0.0,
-        "ricci_vs_contraction": 0.0,
-        "trace_phi": 0.0,
-        "phi_norm2_vs_kappas": 0.0,
-        "point_on_space_form": 0.0,
-        "mean_curvature_vs_closed_form": 0.0,
-        "phi_norm_vs_closed_form": 0.0,
-        "kappas_vs_closed_form": 0.0,
-    }
-    if n == 2:
-        checks["intrinsic_gauss_consistency"] = 0.0
-        checks["gauss_upper_bound_violation"] = 0.0
+    checks = dict.fromkeys(_VERIFY_CHECKS + (_VERIFY_CHECKS_N2 if n == 2 else ()), 0.0)
 
     def bump(key: str, value: float) -> None:
         checks[key] = _max(checks[key], float(abs(value)))
@@ -239,10 +237,7 @@ def _cmd_verify(args) -> int:
                 checks["gauss_upper_bound_violation"],
                 float(kint - (sd.mean_curvature**2 + c)))
 
-    try:
-        branch = bounds.classify(model, inv).branch
-    except NonElliptic:
-        branch = "non-elliptic"
+    branch = _classify(model, inv)[0]
     worst = functools.reduce(_max, checks.values())
     summary = {
         "model": catalog.model_to_text(model),
@@ -426,11 +421,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            if args.grid < 4:
-                raise _UsageError("--grid must be at least 4")
-            if not 0 < args.tol < math.inf:
-                raise _UsageError("--tol must be finite and positive")
         return args.fn(args)
     except (_UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

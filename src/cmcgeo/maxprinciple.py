@@ -213,9 +213,6 @@ def decay_admissible(G: Callable[[float], float], T: float, samples: int,
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         bad = ts[int(np.argmin(vals))]
         raise DomainError(f"G must be positive and finite; fails near t={bad:.6g}")
-    g0 = float(G(0.0))
-    if g0 <= 0.0:
-        raise DomainError("G(0) must be positive")
 
     monotone = bool(np.all(np.diff(vals) >= -1e-12))
     if G_prime is not None:
@@ -247,7 +244,7 @@ def decay_admissible(G: Callable[[float], float], T: float, samples: int,
     sup_iv = float(max(t * float(G(math.sqrt(t))) / float(G(t)) for t in tq))
 
     return DecayReport(
-        G0=g0,
+        G0=float(vals[0]),  # ts[0] is 0
         monotone_ok=monotone,
         integral_T=i_t,
         integral_2T=i_2t,

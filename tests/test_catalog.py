@@ -786,6 +786,70 @@ def test_invalid_parameters():
         cat.CliffordTorus(3, 0)
 
 
+@pytest.mark.parametrize("model, message", [
+    (lambda: cat.EuclideanProduct(3, 3, -1.0), r"^k must lie in \[1, n-1\]$"),
+    (lambda: cat.EuclideanProduct(3, 1, 0.0), r"^r must be positive$"),
+    (lambda: cat.HyperbolicCylinder(4, 2, -1.0), r"^k must be 1 or n-1$"),
+    (lambda: cat.HyperbolicCylinder(4, 3, -0.0), r"^r must be positive$"),
+    (lambda: cat.UmbilicalSphere(3, 2, -1.0), r"^c must be -1, 0 or 1$"),
+    (lambda: cat.UmbilicalSphere(3, 1, -1.0), r"^r must be positive$"),
+    (lambda: cat.UmbilicalSphere(3, 1, 1.5), r"^r must lie in \(0,1\] when c=1$"),
+    (lambda: cat.SphereProduct(3, -1.0), r"^r must lie in \(0,1\)$"),
+    (lambda: cat.SphereProduct(3, 1e-160), r"^r is too small: 2 \(n/r\)\^2 overflows$"),
+    (lambda: cat.EuclideanProduct(3, 1, 1e160), r"^r is too large: 2 \(n r\)\^2 overflows$"),
+])
+def test_radius_rule_follows_each_family_check(model, message):
+    with pytest.raises(InvalidParameters, match=message):
+        model()
+
+
+def _radius_models(n: int) -> list:
+    """Each model of dimension n that has a radius, as a function of it."""
+    return ([lambda r, k=k: cat.EuclideanProduct(n, k, r) for k in range(1, n)]
+            + [lambda r, k=k: cat.HyperbolicCylinder(n, k, r) for k in sorted({1, n - 1})]
+            + [lambda r: cat.SphereProduct(n, r)]
+            + [lambda r, c=c: cat.UmbilicalSphere(n, c, r) for c in (-1, 0, 1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_extreme_accepted_radii_give_finite_closed_forms_and_verdicts(n):
+    # Six radii on each side of where (n/r)^2, 2 (n/r)^2, 4 (n/r)^2 and the
+    # same with n r overflow, whichever the rule is.
+    radii = []
+    for scale in (math.sqrt(sys.float_info.max / t) for t in (1.0, 2.0, 4.0)):
+        for edge in (n / scale, scale / n):
+            r = edge
+            for _ in range(6):
+                r = math.nextafter(r, 0.0)
+            for _ in range(12):
+                radii.append(r)
+                r = math.nextafter(r, math.inf)
+    accepted = rejected = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in _radius_models(n):
+            for r in radii:
+                try:
+                    model = make(r)
+                except InvalidParameters as exc:
+                    rejected += str(exc).startswith("r is too ")
+                    continue
+                accepted += 1
+                inv = cat.closed_form_invariants(model)
+                c = model.space.c
+                values = [inv.H_signed, inv.abs_H, inv.phi_norm, *inv.kappas,
+                          n * (n - 1) * (c + inv.abs_H ** 2) - inv.phi_norm ** 2]
+                try:
+                    verdict = classify(model, inv)
+                except NonElliptic:
+                    assert inv.abs_H ** 2 + c <= 0.0
+                else:
+                    values += [verdict.gap_threshold, verdict.inf_scalar, verdict.scalar_bound,
+                               *([verdict.inf_gauss] if n == 2 else [])]
+                assert all(math.isfinite(v) for v in values), model
+    assert accepted > 0 and rejected > 0
+
+
 _FLOAT_FIELDS = [(cls, f.name) for cls in typing.get_args(cat.ModelSpec)
                  for f in dataclasses.fields(cls) if f.type == "float"]
 

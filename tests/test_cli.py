@@ -159,6 +159,20 @@ def test_verify_tight_tolerance_breaches(capsys):
     assert summary["max_residual"] > 1e-12
 
 
+def test_verify_non_elliptic_model(capsys):
+    # H^2 + c <= 0: no gap threshold, yet the identity suite still runs
+    code, out, _ = run(capsys, "verify", "hyperbolic-cylinder:n=3,k=1,r=1.0", "--grid", "4")
+    summary = json.loads(out)
+    assert (code, summary["branch"], summary["pass"]) == (0, "non-elliptic", True)
+
+
+def test_verify_checks_are_the_benchmark_oracles():
+    from perfbench.oracle import VERIFY_CHECKS, VERIFY_CHECKS_N2
+
+    assert list(cli._VERIFY_CHECKS) == VERIFY_CHECKS
+    assert list(cli._VERIFY_CHECKS_N2) == VERIFY_CHECKS_N2
+
+
 def test_verify_grid_minimum(capsys):
     code, _, err = run(capsys, "verify", "unduloid:H=1,B=0.5", "--grid", "3")
     assert code == 2
@@ -586,27 +600,60 @@ def test_verify_with_a_nan_residual_is_not_a_pass(capsys):
 
 def test_model_with_a_nan_residual_exits_5(capsys):
     with pytest.warns(RuntimeWarning):
-        code, out, err = run(capsys, "model", "euclidean-product:n=3,k=1,r=1e200", "--grid", "2")
+        code, out, err = run(capsys, "model", "euclidean-product:n=3,k=2,r=1e100", "--grid", "2")
     assert json.loads(out)["residual_max"] is None
     assert code == 5
     assert err == "error: CmcError: the Simons residual is not finite at a sample point\n"
 
 
-@pytest.mark.parametrize("argv", [
-    # (rho / r) ** 2 in the hyperbolic cylinder's invariants
-    ("verify", "hyperbolic-cylinder:n=3,k=1,r=1e-170", "--grid", "4"),
-    # abs_H ** 2 in bounds.classify
-    ("model", "euclidean-product:n=2,k=1,r=1.38e-273", "--grid", "1"),
-], ids=["verify", "model"])
-def test_overflow_error_exits_5_with_one_line(capsys, argv):
-    code, out, err = run(capsys, *argv)
+# r where 2 (n r)^2 or 2 (n/r)^2 overflows, in each family with a radius; the
+# named cases once overflowed in the closed forms, in classify or in eigh.
+_RADIUS_OVERFLOWS = [
+    *(f"{family}:{params}r={r}"
+      for family, params, radii in (
+          ("euclidean-product", "n=3,k=1,", (1e-300, 1e-200, 1e200, 1e300)),
+          ("hyperbolic-cylinder", "n=3,k=2,", (1e-300, 1e-200, 1e200, 1e300)),
+          ("umbilical-sphere", "n=3,c=-1,", (1e-300, 1e-200, 1e200, 1e300)),
+          ("umbilical-sphere", "n=3,c=0,", (1e-300, 1e-200, 1e200, 1e300)),
+          ("umbilical-sphere", "n=3,c=1,", (1e-300, 1e-200)),
+          ("sphere-product", "n=3,", (1e-300, 1e-200)))
+      for r in radii),
+    "hyperbolic-cylinder:n=3,k=1,r=1e-170",  # (rho / r) ** 2 in the invariants
+    "euclidean-product:n=2,k=1,r=1.38e-273",  # abs_H ** 2 in bounds.classify
+    "euclidean-product:n=3,k=1,r=1e200",  # eigh of a NaN second fundamental form
+]
+
+
+@pytest.mark.parametrize("command", ["model", "verify"])
+@pytest.mark.parametrize("spec", _RADIUS_OVERFLOWS)
+def test_overflowing_radius_exits_3_with_one_line(capsys, command, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, spec, "--grid", "1" if command == "model" else "4")
+    size = "small" if float(spec.rsplit("=", 1)[1]) < 1 else "large"
+    message = "(n/r)^2" if size == "small" else "(n r)^2"
+    assert (code, out, err) == (3, "", f"error: r is too {size}: 2 {message} overflows\n")
+
+
+# The last-resort catch, for an OverflowError and a LinAlgError that no
+# checked input raises any more.
+@pytest.mark.parametrize("command", ["verify", "model"])
+def test_overflow_error_exits_5_with_one_line(capsys, monkeypatch, command):
+    def overflow(model):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cat, "closed_form_invariants", overflow)
+    code, out, err = run(capsys, command, "unduloid:H=1,B=0.5", "--grid", "4")
     assert (code, out) == (5, "")
-    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    assert err == "error: OverflowError: (34, 'Numerical result out of range')\n"
 
 
-def test_lin_alg_error_exits_5_with_one_line(capsys):
-    with pytest.warns(RuntimeWarning):
-        code, out, err = run(capsys, "verify", "euclidean-product:n=3,k=1,r=1e200", "--grid", "4")
+def test_lin_alg_error_exits_5_with_one_line(capsys, monkeypatch):
+    def no_convergence(model):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cat, "closed_form_invariants", no_convergence)
+    code, out, err = run(capsys, "verify", "unduloid:H=1,B=0.5", "--grid", "4")
     assert (code, out) == (5, "")
     assert err == "error: LinAlgError: Eigenvalues did not converge\n"
 
